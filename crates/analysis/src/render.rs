@@ -2,10 +2,10 @@
 //! SARIF 2.1.0 (the static-analysis interchange format GitHub code
 //! scanning ingests).
 //!
-//! JSON is emitted by hand — the workspace builds offline with no
-//! serialization dependency, and the subset needed here (objects, arrays,
-//! strings, integers) is small.
+//! The JSON layout is written by hand so the pretty-printed output stays
+//! stable; every string inside it is escaped by [`dml_obs::json`].
 
+use dml_obs::json::Json;
 use dml_syntax::span::line_col;
 use dml_syntax::Severity;
 
@@ -30,21 +30,9 @@ fn count(findings: &[Finding]) -> (usize, usize) {
     (e, w)
 }
 
-/// Escapes a string for inclusion in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A string as a quoted, escaped JSON string literal.
+fn quoted(s: &str) -> String {
+    Json::Str(s.to_string()).render()
 }
 
 fn severity_str(s: Severity) -> &'static str {
@@ -61,15 +49,14 @@ pub fn json(findings: &[Finding], src: &str) -> String {
     for f in findings {
         let start = line_col(src, f.span.start);
         let end = line_col(src, f.span.end);
-        let notes: Vec<String> =
-            f.notes.iter().map(|n| format!("\"{}\"", json_escape(n))).collect();
+        let notes: Vec<String> = f.notes.iter().map(|n| quoted(n)).collect();
         let fix = match &f.fix {
             None => "null".to_string(),
             Some(fix) => format!(
-                "{{ \"description\": \"{}\", \"insertAt\": {}, \"text\": \"{}\" }}",
-                json_escape(&fix.description),
+                "{{ \"description\": {}, \"insertAt\": {}, \"text\": {} }}",
+                quoted(&fix.description),
                 fix.insert_at,
-                json_escape(&fix.text),
+                quoted(&fix.text),
             ),
         };
         items.push(format!(
@@ -78,7 +65,7 @@ pub fn json(findings: &[Finding], src: &str) -> String {
                 "    \"code\": \"{code}\",\n",
                 "    \"name\": \"{name}\",\n",
                 "    \"severity\": \"{sev}\",\n",
-                "    \"message\": \"{msg}\",\n",
+                "    \"message\": {msg},\n",
                 "    \"span\": {{ \"start\": {s}, \"end\": {e} }},\n",
                 "    \"start\": {{ \"line\": {sl}, \"column\": {sc} }},\n",
                 "    \"end\": {{ \"line\": {el}, \"column\": {ec} }},\n",
@@ -89,7 +76,7 @@ pub fn json(findings: &[Finding], src: &str) -> String {
             code = f.code,
             name = f.name,
             sev = severity_str(f.severity),
-            msg = json_escape(&f.message),
+            msg = quoted(&f.message),
             s = f.span.start,
             e = f.span.end,
             sl = start.line,
@@ -114,13 +101,13 @@ pub fn sarif(findings: &[Finding], src: &str, artifact_uri: &str) -> String {
                     "          {{\n",
                     "            \"id\": \"{id}\",\n",
                     "            \"name\": \"{name}\",\n",
-                    "            \"shortDescription\": {{ \"text\": \"{desc}\" }},\n",
+                    "            \"shortDescription\": {{ \"text\": {desc} }},\n",
                     "            \"defaultConfiguration\": {{ \"level\": \"{level}\" }}\n",
                     "          }}"
                 ),
                 id = l.code,
                 name = l.name,
-                desc = json_escape(l.summary),
+                desc = quoted(l.summary),
                 level = severity_str(l.default_severity),
             )
         })
@@ -148,14 +135,14 @@ pub fn sarif(findings: &[Finding], src: &str, artifact_uri: &str) -> String {
                         ",\n",
                         "          \"fixes\": [\n",
                         "            {{\n",
-                        "              \"description\": {{ \"text\": \"{desc}\" }},\n",
+                        "              \"description\": {{ \"text\": {desc} }},\n",
                         "              \"artifactChanges\": [\n",
                         "                {{\n",
-                        "                  \"artifactLocation\": {{ \"uri\": \"{uri}\" }},\n",
+                        "                  \"artifactLocation\": {{ \"uri\": {uri} }},\n",
                         "                  \"replacements\": [\n",
                         "                    {{\n",
                         "                      \"deletedRegion\": {{ \"charOffset\": {at}, \"charLength\": 0 }},\n",
-                        "                      \"insertedContent\": {{ \"text\": \"{ins}\" }}\n",
+                        "                      \"insertedContent\": {{ \"text\": {ins} }}\n",
                         "                    }}\n",
                         "                  ]\n",
                         "                }}\n",
@@ -163,10 +150,10 @@ pub fn sarif(findings: &[Finding], src: &str, artifact_uri: &str) -> String {
                         "            }}\n",
                         "          ]"
                     ),
-                    desc = json_escape(&fix.description),
-                    uri = json_escape(artifact_uri),
+                    desc = quoted(&fix.description),
+                    uri = quoted(artifact_uri),
                     at = fix.insert_at,
-                    ins = json_escape(&fix.text),
+                    ins = quoted(&fix.text),
                 ),
             };
             format!(
@@ -175,11 +162,11 @@ pub fn sarif(findings: &[Finding], src: &str, artifact_uri: &str) -> String {
                     "          \"ruleId\": \"{id}\",\n",
                     "          \"ruleIndex\": {idx},\n",
                     "          \"level\": \"{level}\",\n",
-                    "          \"message\": {{ \"text\": \"{msg}\" }},\n",
+                    "          \"message\": {{ \"text\": {msg} }},\n",
                     "          \"locations\": [\n",
                     "            {{\n",
                     "              \"physicalLocation\": {{\n",
-                    "                \"artifactLocation\": {{ \"uri\": \"{uri}\" }},\n",
+                    "                \"artifactLocation\": {{ \"uri\": {uri} }},\n",
                     "                \"region\": {{ \"startLine\": {sl}, \"startColumn\": {sc}, \"endLine\": {el}, \"endColumn\": {ec} }}\n",
                     "              }}\n",
                     "            }}\n",
@@ -189,8 +176,8 @@ pub fn sarif(findings: &[Finding], src: &str, artifact_uri: &str) -> String {
                 id = f.code,
                 idx = rule_index,
                 level = severity_str(f.severity),
-                msg = json_escape(&text),
-                uri = json_escape(artifact_uri),
+                msg = quoted(&text),
+                uri = quoted(artifact_uri),
                 sl = start.line,
                 sc = start.col,
                 el = end.line,
@@ -324,10 +311,5 @@ mod tests {
         assert_eq!(json(&[], "x"), "[\n\n]\n");
         let s = sarif(&[], "x", "a.dml");
         assert!(s.contains("\"results\": ["), "{s}");
-    }
-
-    #[test]
-    fn json_escape_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

@@ -19,8 +19,8 @@
 //! dependency-free, so the builds work offline.
 
 use dml::pipeline::Compiler;
-use dml_bench::json::Json;
 use dml_emit::{emit_program, EmitOptions, Variant};
+use dml_obs::json::{obj, Json};
 use dml_types::infer::infer_program;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -126,7 +126,7 @@ fn main() {
             proven,
             sites.len()
         );
-        rows.push(Json::obj([
+        rows.push(obj([
             ("name", Json::Str(p.name.to_string())),
             ("size", Json::Int(size)),
             ("iters", Json::Int(iters)),
@@ -139,7 +139,7 @@ fn main() {
     }
 
     if write_json {
-        let report = Json::obj([
+        let report = obj([
             ("bench", Json::Str("native_tables".to_string())),
             ("smoke", Json::Bool(smoke)),
             ("runs_per_variant", Json::Int(runs as i64)),

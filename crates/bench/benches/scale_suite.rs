@@ -31,8 +31,8 @@
 //! configs and only the largest is meaningful).
 
 use dml::{check_batch, BatchEntry, Compiler};
-use dml_bench::json::Json;
 use dml_bench::rss;
+use dml_obs::json::{obj, Json};
 use dml_oracle::scale::{gen_scale_corpus, verify_scale_case, ScaleConfig};
 use std::time::{Duration, Instant};
 
@@ -75,7 +75,7 @@ impl ConfigRow {
     }
 
     fn to_json(&self) -> Json {
-        Json::obj([
+        obj([
             ("name", Json::Str(self.name.to_string())),
             ("jobs", Json::Str(self.jobs.clone())),
             ("wall_ms", Json::Num(ms(self.wall))),
@@ -129,7 +129,7 @@ fn main() {
     );
 
     if write_json {
-        let report = Json::obj([
+        let report = obj([
             ("suite", Json::Str("scale_suite".to_string())),
             ("smoke", Json::Bool(smoke)),
             ("seed", Json::Int(SEED as i64)),
@@ -139,7 +139,7 @@ fn main() {
             ("sizes", Json::Array(size_rows)),
             (
                 "totals",
-                Json::obj([
+                obj([
                     ("top_obligations", Json::Int(top_obligations as i64)),
                     ("goals_per_sec_cold", Json::Num(cold_rate)),
                     ("goals_per_sec_warm", Json::Num(warm_rate)),
@@ -327,13 +327,13 @@ fn run_size(target: usize, iters: usize, auto_jobs: usize, rss_reset: bool) -> S
 
     let cold_rate = rate(cold.goals, cold.wall);
     let warm_rate = rate(warm.goals, warm.wall);
-    let json = Json::obj([
+    let json = obj([
         ("target_obligations", Json::Int(target as i64)),
         ("obligations", Json::Int(corpus.obligations as i64)),
         ("files", Json::Int(entries.len() as i64)),
         (
             "expected",
-            Json::obj([
+            obj([
                 ("check_sites", Json::Int(corpus.expected.check_sites as i64)),
                 ("proven_sites", Json::Int(corpus.expected.proven_sites as i64)),
                 ("residual_sites", Json::Int(corpus.expected.residual_sites as i64)),

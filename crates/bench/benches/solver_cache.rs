@@ -33,7 +33,7 @@
 use dml::experiments::{bench_source, benchmarks};
 use dml::Compiler;
 use dml_bench::bench_timed;
-use dml_bench::json::Json;
+use dml_obs::json::{obj, Json};
 use dml_solver::{Solver, SolverOptions};
 use std::time::Duration;
 
@@ -98,7 +98,7 @@ fn main() {
         let looked_up = warm.solver.cache_hits + warm.solver.cache_misses;
         let warm_rate =
             if looked_up == 0 { 0.0 } else { warm.solver.cache_hits as f64 / looked_up as f64 };
-        rows.push(Json::obj([
+        rows.push(obj([
             ("name", Json::Str(name.to_string())),
             ("constraints", Json::Int(cold.constraints as i64)),
             ("goals", Json::Int(cold.goals as i64)),
@@ -146,7 +146,7 @@ fn main() {
             ms(best[i])
         );
         ablation_solve.insert((label, cache), best[i]);
-        ablation.push(Json::obj([
+        ablation.push(obj([
             ("workers", Json::Str(label.to_string())),
             ("cache", Json::Bool(cache)),
             ("solve_ms", Json::Num(ms(best[i]))),
@@ -213,7 +213,7 @@ fn main() {
                 "solver_cache/daemon: skipped (dmlc binary not found near the bench \
                  executable; run `cargo build --release -p dml-cli` first)"
             );
-            Json::obj([("available", Json::Bool(false))])
+            obj([("available", Json::Bool(false))])
         }
     };
 
@@ -229,7 +229,7 @@ fn main() {
     );
 
     if write_json {
-        let report = Json::obj([
+        let report = obj([
             ("suite", Json::Str("solver_cache".to_string())),
             ("smoke", Json::Bool(smoke)),
             ("pool_helpers", Json::Int(pool_helpers as i64)),
@@ -237,7 +237,7 @@ fn main() {
             ("benchmarks", Json::Array(rows)),
             (
                 "totals",
-                Json::obj([
+                obj([
                     ("gen_ms", Json::Num(ms(total_gen_cold))),
                     ("gen_warm_ms", Json::Num(ms(total_gen_warm))),
                     ("solve_cold_ms", Json::Num(ms(total_cold))),
@@ -250,7 +250,7 @@ fn main() {
             ("daemon", daemon),
             (
                 "lint",
-                Json::obj([
+                obj([
                     ("hits", Json::Int(lint_hits as i64)),
                     ("misses", Json::Int(lint_misses as i64)),
                     ("hit_rate", Json::Num(lint_rate)),
@@ -292,7 +292,7 @@ fn find_dmlc() -> Option<std::path::PathBuf> {
 /// on a hot goal cache, gen memo, worker pool, and per-file incremental
 /// state. Both sides include full request round-trip time.
 fn bench_daemon(dmlc: &std::path::Path, warmup: usize, iters: usize) -> Json {
-    use dml::serve::protocol::{request_line, Json as WireJson, Value};
+    use dml::serve::protocol::request_line;
     use std::io::{BufRead as _, BufReader, Write as _};
     use std::process::{Command, Stdio};
     use std::time::Instant;
@@ -345,7 +345,7 @@ fn bench_daemon(dmlc: &std::path::Path, warmup: usize, iters: usize) -> Json {
     let mut stdin = child.stdin.take().expect("piped stdin");
     let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
     let mut next_id: i64 = 0;
-    let mut ask = |method: &str, params: Vec<(&str, WireJson)>| -> (Duration, Value) {
+    let mut ask = |method: &str, params: Vec<(&str, Json)>| -> (Duration, Json) {
         next_id += 1;
         let line = request_line(next_id, method, params);
         let t0 = Instant::now();
@@ -353,12 +353,12 @@ fn bench_daemon(dmlc: &std::path::Path, warmup: usize, iters: usize) -> Json {
         let mut response = String::new();
         reader.read_line(&mut response).expect("read response");
         let took = t0.elapsed();
-        let parsed = Value::parse(response.trim()).expect("daemon speaks JSON");
+        let parsed = Json::parse(response.trim()).expect("daemon speaks JSON");
         assert!(parsed.get("error").is_none(), "daemon error: {response}");
         (took, parsed)
     };
     let check_params = |name: &str, src: &str| {
-        vec![("source", WireJson::Str(src.to_string())), ("path", WireJson::Str(name.to_string()))]
+        vec![("source", Json::Str(src.to_string())), ("path", Json::Str(name.to_string()))]
     };
     // Priming round: pays the daemon's own cold compiles, untimed — the
     // steady state being measured is "editor re-checks against a warm
@@ -373,7 +373,7 @@ fn bench_daemon(dmlc: &std::path::Path, warmup: usize, iters: usize) -> Json {
         for (i, (name, _, src)) in files.iter().enumerate() {
             let (took, response) = ask("check", check_params(name, src));
             let incremental =
-                response.get("result").and_then(|r| r.get("incremental")).and_then(Value::as_bool);
+                response.get("result").and_then(|r| r.get("incremental")).and_then(Json::as_bool);
             assert_eq!(incremental, Some(true), "warm {name} re-check reuses verdicts");
             total += took;
             if took < warm_best[i] {
@@ -396,7 +396,7 @@ fn bench_daemon(dmlc: &std::path::Path, warmup: usize, iters: usize) -> Json {
             ms(cold_best[i]),
             ms(warm_best[i])
         );
-        rows.push(Json::obj([
+        rows.push(obj([
             ("name", Json::Str(name.to_string())),
             ("cold_process_ms", Json::Num(ms(cold_best[i]))),
             ("warm_daemon_ms", Json::Num(ms(warm_best[i]))),
@@ -410,7 +410,7 @@ fn bench_daemon(dmlc: &std::path::Path, warmup: usize, iters: usize) -> Json {
         ms(cold_total),
         ms(warm_total)
     );
-    Json::obj([
+    obj([
         ("available", Json::Bool(true)),
         ("benchmarks", Json::Array(rows)),
         ("cold_process_ms", Json::Num(ms(cold_total))),

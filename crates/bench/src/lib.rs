@@ -6,7 +6,6 @@
 //! benchmark runs a warm-up pass, then a fixed number of timed iterations,
 //! and reports min/mean/max wall-clock time per iteration.
 
-pub mod json;
 pub mod rss;
 
 use std::time::{Duration, Instant};

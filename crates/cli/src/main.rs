@@ -55,6 +55,7 @@
 //!   only the wall time changes.
 
 use dml::experiments;
+use dml::serve::protocol::Json;
 use dml::{Compiler, Mode, Severity, Value};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -343,7 +344,6 @@ fn check_one(session: &SessionSetup, path: &str, trace_out: Option<&str>) -> Exi
 /// checking). The merged output matches the local batch shape.
 #[cfg(unix)]
 fn remote_check_batch(socket: &str, entries: &[dml::BatchEntry]) -> ExitCode {
-    use dml::serve::protocol::Json;
     let mut failed = 0usize;
     for e in entries {
         println!("== {} ==", e.name);
@@ -351,10 +351,9 @@ fn remote_check_batch(socket: &str, entries: &[dml::BatchEntry]) -> ExitCode {
             vec![("source", Json::Str(e.source.clone())), ("path", Json::Str(e.name.clone()))];
         match remote::call(socket, "check", params) {
             Ok(result) => {
-                let report =
-                    result.get("report").and_then(dml::serve::Value::as_str).unwrap_or_default();
+                let report = result.get("report").and_then(Json::as_str).unwrap_or_default();
                 print!("{report}");
-                if !result.get("ok").and_then(dml::serve::Value::as_bool).unwrap_or(false) {
+                if !result.get("ok").and_then(Json::as_bool).unwrap_or(false) {
                     failed += 1;
                 }
             }
@@ -390,15 +389,13 @@ fn flush_disk_tier(compiler: &Compiler) {
 
 #[cfg(unix)]
 fn remote_check(socket: &str, path: &str, src: &str) -> ExitCode {
-    use dml::serve::protocol::Json;
     let params =
         vec![("source", Json::Str(src.to_string())), ("path", Json::Str(path.to_string()))];
     match remote::call(socket, "check", params) {
         Ok(result) => {
-            let report =
-                result.get("report").and_then(dml::serve::Value::as_str).unwrap_or_default();
+            let report = result.get("report").and_then(Json::as_str).unwrap_or_default();
             print!("{report}");
-            let ok = result.get("ok").and_then(dml::serve::Value::as_bool).unwrap_or(false);
+            let ok = result.get("ok").and_then(Json::as_bool).unwrap_or(false);
             if ok {
                 ExitCode::SUCCESS
             } else {
@@ -445,7 +442,7 @@ fn infer_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
         }
     };
     if let Some(socket) = &session.remote {
-        return remote_text(socket, "infer", &src, vec![("json", json_bool(json))]);
+        return remote_text(socket, "infer", &src, vec![("json", Json::Bool(json))]);
     }
     let compiled = match session.compiler.clone().infer(true).compile(&src) {
         Ok(c) => c,
@@ -514,7 +511,7 @@ fn explain_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
     };
     if let Some(socket) = &session.remote {
         let extra = match goal {
-            Some(n) => vec![("goal", dml::serve::protocol::Json::Int(n as i64))],
+            Some(n) => vec![("goal", Json::Int(n as i64))],
             None => Vec::new(),
         };
         return remote_text(socket, "explain", &src, extra);
@@ -685,7 +682,7 @@ fn remote_only(session: &SessionSetup, method: &'static str) -> ExitCode {
 fn remote_simple(socket: &str, method: &str) -> ExitCode {
     match remote::call(socket, method, Vec::new()) {
         Ok(result) => {
-            println!("{}", remote::render(&result));
+            println!("{}", remote::render(result));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -705,21 +702,12 @@ fn remote_simple(_socket: &str, _method: &str) -> ExitCode {
 /// result verbatim (the daemon renders through the same code paths the
 /// local commands use).
 #[cfg(unix)]
-fn remote_text(
-    socket: &str,
-    method: &str,
-    src: &str,
-    extra: Vec<(&str, dml::serve::protocol::Json)>,
-) -> ExitCode {
-    use dml::serve::protocol::Json;
+fn remote_text(socket: &str, method: &str, src: &str, extra: Vec<(&str, Json)>) -> ExitCode {
     let mut params = vec![("source", Json::Str(src.to_string()))];
     params.extend(extra);
     match remote::call(socket, method, params) {
         Ok(result) => {
-            print!(
-                "{}",
-                result.get("text").and_then(dml::serve::Value::as_str).unwrap_or_default()
-            );
+            print!("{}", result.get("text").and_then(Json::as_str).unwrap_or_default());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -730,18 +718,9 @@ fn remote_text(
 }
 
 #[cfg(not(unix))]
-fn remote_text(
-    _socket: &str,
-    _method: &str,
-    _src: &str,
-    _extra: Vec<(&str, dml::serve::protocol::Json)>,
-) -> ExitCode {
+fn remote_text(_socket: &str, _method: &str, _src: &str, _extra: Vec<(&str, Json)>) -> ExitCode {
     eprintln!("--remote requires a Unix platform");
     ExitCode::FAILURE
-}
-
-fn json_bool(b: bool) -> dml::serve::protocol::Json {
-    dml::serve::protocol::Json::Bool(b)
 }
 
 fn constraints(compiler: &Compiler, src: &str) -> ExitCode {

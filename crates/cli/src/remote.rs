@@ -4,7 +4,7 @@
 //! [`dml::report::check_report`] the one-shot path uses, so routing a
 //! command through `--remote` changes wall time, not bytes.
 
-use dml::serve::protocol::{self, Json, Value};
+use dml::serve::protocol::{self, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 
@@ -15,7 +15,7 @@ use std::os::unix::net::UnixStream;
 /// A printable message for connection failures, transport failures, and
 /// in-band protocol errors (the daemon's `error.message`, which for
 /// `compile-error` is the same text local `dmlc` prints to stderr).
-pub fn call(socket: &str, method: &str, params: Vec<(&str, Json)>) -> Result<Value, String> {
+pub fn call(socket: &str, method: &str, params: Vec<(&str, Json)>) -> Result<Json, String> {
     let stream = UnixStream::connect(socket).map_err(|e| {
         format!(
             "cannot connect to daemon at {socket}: {e}\n\
@@ -34,10 +34,10 @@ pub fn call(socket: &str, method: &str, params: Vec<(&str, Json)>) -> Result<Val
         return Err("daemon closed the connection without responding".to_string());
     }
     let response =
-        Value::parse(line.trim()).map_err(|e| format!("daemon sent invalid JSON: {e}"))?;
+        Json::parse(line.trim()).map_err(|e| format!("daemon sent invalid JSON: {e}"))?;
     if let Some(err) = response.get("error") {
-        let code = err.get("code").and_then(Value::as_str).unwrap_or("internal-error");
-        let message = err.get("message").and_then(Value::as_str).unwrap_or("unknown error");
+        let code = err.get("code").and_then(Json::as_str).unwrap_or("internal-error");
+        let message = err.get("message").and_then(Json::as_str).unwrap_or("unknown error");
         return Err(if code == "compile-error" {
             message.to_string()
         } else {
@@ -51,22 +51,19 @@ pub fn call(socket: &str, method: &str, params: Vec<(&str, Json)>) -> Result<Val
 }
 
 /// Re-renders a parsed response value as JSON (for `dmlc stats --remote`).
-pub fn render(v: &Value) -> String {
-    to_json(v).render()
+/// Parsing reads every number as a float, so whole numbers go back to
+/// integers to render exactly as the daemon wrote them.
+pub fn render(v: Json) -> String {
+    int_whole_numbers(v).render()
 }
 
-fn to_json(v: &Value) -> Json {
+fn int_whole_numbers(v: Json) -> Json {
     match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => Json::Bool(*b),
-        Value::Num(n) => match v.as_i64() {
-            Some(i) => Json::Int(i),
-            None => Json::Num(*n),
-        },
-        Value::Str(s) => Json::Str(s.clone()),
-        Value::Array(items) => Json::Array(items.iter().map(to_json).collect()),
-        Value::Object(fields) => {
-            Json::Object(fields.iter().map(|(k, v)| (k.clone(), to_json(v))).collect())
+        Json::Num(_) => v.as_i64().map_or(v, Json::Int),
+        Json::Array(items) => Json::Array(items.into_iter().map(int_whole_numbers).collect()),
+        Json::Object(fields) => {
+            Json::Object(fields.into_iter().map(|(k, v)| (k, int_whole_numbers(v))).collect())
         }
+        other => other,
     }
 }

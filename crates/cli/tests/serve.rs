@@ -2,7 +2,7 @@
 //! verdict cache across separate processes, and the `dmlc serve` daemon's
 //! determinism contract against one-shot `dmlc check`.
 
-use dml::serve::protocol::{request_line, Json, Value};
+use dml::serve::protocol::{request_line, Json};
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -85,7 +85,7 @@ fn corrupted_or_stale_cache_is_ignored_not_fatal() {
 
 /// Drives a `dmlc serve` daemon over stdio and returns one parsed response
 /// per request line.
-fn drive_daemon(requests: &[String]) -> Vec<Value> {
+fn drive_daemon(requests: &[String]) -> Vec<Json> {
     let mut child = dmlc()
         .arg("serve")
         .stdin(Stdio::piped())
@@ -100,7 +100,7 @@ fn drive_daemon(requests: &[String]) -> Vec<Value> {
     drop(stdin);
     let out = child.wait_with_output().unwrap();
     let text = String::from_utf8(out.stdout).unwrap();
-    text.lines().map(|l| Value::parse(l).expect("daemon speaks valid JSON")).collect()
+    text.lines().map(|l| Json::parse(l).expect("daemon speaks valid JSON")).collect()
 }
 
 #[test]
@@ -132,26 +132,26 @@ fn daemon_check_is_byte_identical_to_one_shot_and_reports_warm_hits() {
 
     for (i, response) in responses[..2].iter().enumerate() {
         let result = response.get("result").unwrap_or_else(|| panic!("check {i} succeeds"));
-        let report = result.get("report").and_then(Value::as_str).expect("report is a string");
+        let report = result.get("report").and_then(Json::as_str).expect("report is a string");
         assert_eq!(
             dml::stable_body(report),
             one_shot_body,
             "daemon check {i} diverged from one-shot output"
         );
-        assert_eq!(result.get("fullyVerified").and_then(Value::as_bool), Some(true));
+        assert_eq!(result.get("fullyVerified").and_then(Json::as_bool), Some(true));
     }
 
     // The warm re-check reused every obligation without touching the
     // solver.
     let warm = responses[1].get("result").unwrap();
-    assert_eq!(warm.get("incremental").and_then(Value::as_bool), Some(true));
+    assert_eq!(warm.get("incremental").and_then(Json::as_bool), Some(true));
     let warm_stats = warm.get("stats").unwrap();
-    assert_eq!(warm_stats.get("goals").and_then(Value::as_i64), Some(0));
-    let reused = warm_stats.get("obligationsReused").and_then(Value::as_i64).unwrap();
+    assert_eq!(warm_stats.get("goals").and_then(Json::as_i64), Some(0));
+    let reused = warm_stats.get("obligationsReused").and_then(Json::as_i64).unwrap();
     assert!(reused > 0, "obligations were reused");
 
     let stats = responses[2].get("result").expect("stats succeeds");
-    assert_eq!(stats.get("requests").and_then(|r| r.get("check")).and_then(Value::as_i64), Some(2));
+    assert_eq!(stats.get("requests").and_then(|r| r.get("check")).and_then(Json::as_i64), Some(2));
     assert!(responses[3].get("result").is_some(), "shutdown acknowledged");
 }
 
@@ -164,9 +164,9 @@ fn daemon_warm_goal_cache_answers_pathless_checks() {
     let responses = drive_daemon(&[check(1), check(2), request_line(3, "shutdown", Vec::new())]);
     let warm = responses[1].get("result").expect("warm check succeeds");
     let stats = warm.get("stats").unwrap();
-    assert_eq!(warm.get("incremental").and_then(Value::as_bool), Some(false));
-    assert_eq!(stats.get("cacheMisses").and_then(Value::as_i64), Some(0));
-    let hits = stats.get("cacheHits").and_then(Value::as_i64).unwrap();
+    assert_eq!(warm.get("incremental").and_then(Json::as_bool), Some(false));
+    assert_eq!(stats.get("cacheMisses").and_then(Json::as_i64), Some(0));
+    let hits = stats.get("cacheHits").and_then(Json::as_i64).unwrap();
     assert!(hits > 0, "warm goal-cache hit rate > 0, got {stats:?}");
 }
 
@@ -178,7 +178,7 @@ fn daemon_rejects_wrong_schema_and_survives() {
         request_line(3, "shutdown", Vec::new()),
     ]);
     assert_eq!(
-        responses[0].get("error").and_then(|e| e.get("code")).and_then(Value::as_str),
+        responses[0].get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
         Some("unsupported-schema")
     );
     assert!(responses[1].get("result").is_some(), "daemon kept serving after the error");

@@ -21,7 +21,11 @@ pub mod protocol;
 pub mod server;
 pub mod session;
 
-pub use protocol::{ErrorCode, Request, Value, SCHEMA_VERSION};
+/// The old name of the protocol's parsed value, now [`dml_obs::json::Json`].
+/// Kept only because the `perfbench` benchmark crate still imports
+/// `dml::serve::Value`; new code should use `Json`.
+pub use dml_obs::json::Json as Value;
+pub use protocol::{ErrorCode, Request, SCHEMA_VERSION};
 #[cfg(unix)]
 pub use server::serve_unix;
 pub use server::{serve_connection, serve_stdio};

@@ -29,10 +29,10 @@
 //! extra hints) is not a breaking change. Removing or re-typing a field
 //! bumps [`SCHEMA_VERSION`].
 //!
-//! The parser below is hand-rolled (the workspace takes zero third-party
-//! dependencies) and accepts the full JSON grammar: nested
-//! objects/arrays, escapes including `\uXXXX`, and number syntax per RFC
-//! 8259. Emission reuses [`dml_obs::Json`].
+//! Parsing and rendering both go through [`dml_obs::json`], the
+//! workspace's one JSON module. Its parser caps nesting depth, so a
+//! hostile request line is answered with `bad-request` instead of
+//! overflowing the stack.
 
 use std::fmt;
 
@@ -41,278 +41,6 @@ pub use dml_obs::json::{obj, Json};
 /// The wire-protocol version this build speaks. Bumped whenever a field is
 /// removed or its meaning changes; additive fields do not bump it.
 pub const SCHEMA_VERSION: i64 = 1;
-
-/// A parsed JSON value (the read side; [`dml_obs::Json`] is the write
-/// side).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object with fields in source order (duplicates keep the first).
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Parses a complete JSON document (rejects trailing non-whitespace).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing characters at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (first occurrence); `None` on non-objects.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as an integer, if this is a whole number.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Num(n) if n.fract() == 0.0 && n.is_finite() => Some(*n as i64),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            if !fields.iter().any(|(k, _)| *k == key) {
-                fields.push((key, val));
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let first = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by `\uDC00..DFFF`.
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let second = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((first - 0xD800) << 10)
-                                        + second.wrapping_sub(0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(first)
-                            };
-                            out.push(c.ok_or_else(|| {
-                                format!("invalid \\u escape ending at byte {}", self.pos)
-                            })?);
-                            continue; // hex4 already advanced past the digits
-                        }
-                        _ => return Err(format!("invalid escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim: the
-                    // input is a &str, so byte boundaries are valid.
-                    let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let ch = rest.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let digits = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .and_then(|d| std::str::from_utf8(d).ok())
-            .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
-        let v = u32::from_str_radix(digits, 16)
-            .map_err(|_| format!("invalid \\u escape at byte {}", self.pos))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>().map(Value::Num).map_err(|_| format!("invalid number `{text}`"))
-    }
-}
 
 /// Renders a request line (the client side of the wire), newline included.
 /// The id is echoed back on the matching response.
@@ -377,7 +105,7 @@ pub struct Request {
     /// The method name.
     pub method: String,
     /// Method parameters (an empty object when absent).
-    pub params: Value,
+    pub params: Json,
 }
 
 /// Parses and validates one request line. On error, returns the code, a
@@ -390,10 +118,10 @@ pub struct Request {
 /// `method`; [`ErrorCode::UnsupportedSchema`] for a missing or
 /// incompatible `schemaVersion`.
 pub fn parse_request(line: &str) -> Result<Request, (ErrorCode, String, Option<Json>)> {
-    let v = Value::parse(line)
+    let v = Json::parse(line)
         .map_err(|e| (ErrorCode::BadRequest, format!("invalid JSON: {e}"), None))?;
     let id = extract_id(&v);
-    match v.get("schemaVersion").and_then(Value::as_i64) {
+    match v.get("schemaVersion").and_then(Json::as_i64) {
         Some(SCHEMA_VERSION) => {}
         Some(other) => {
             return Err((
@@ -412,21 +140,21 @@ pub fn parse_request(line: &str) -> Result<Request, (ErrorCode, String, Option<J
             ));
         }
     }
-    let method = match v.get("method").and_then(Value::as_str) {
+    let method = match v.get("method").and_then(Json::as_str) {
         Some(m) => m.to_string(),
         None => return Err((ErrorCode::BadRequest, "missing `method` string".to_string(), id)),
     };
-    let params = v.get("params").cloned().unwrap_or(Value::Object(Vec::new()));
+    let params = v.get("params").cloned().unwrap_or(Json::Object(Vec::new()));
     Ok(Request { id, method, params })
 }
 
 /// The echo-able request id: strings and whole numbers only (other JSON
 /// types are ignored rather than rejected — id is a convenience).
-fn extract_id(v: &Value) -> Option<Json> {
-    match v.get("id") {
-        Some(Value::Str(s)) => Some(Json::Str(s.clone())),
-        Some(Value::Num(n)) if n.fract() == 0.0 && n.is_finite() => Some(Json::Int(*n as i64)),
-        _ => None,
+fn extract_id(v: &Json) -> Option<Json> {
+    let id = v.get("id")?;
+    match id.as_str() {
+        Some(s) => Some(Json::Str(s.to_string())),
+        None => id.as_i64().map(Json::Int),
     }
 }
 
@@ -463,36 +191,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_nested_json_with_escapes() {
-        let v = Value::parse(r#"{"a":[1,-2.5,true,null],"s":"line\nbreak A😀","o":{"k":"v"}}"#)
-            .unwrap();
-        assert_eq!(v.get("s").and_then(Value::as_str), Some("line\nbreak A😀"));
-        assert_eq!(v.get("o").and_then(|o| o.get("k")).and_then(Value::as_str), Some("v"));
-        match v.get("a") {
-            Some(Value::Array(items)) => {
-                assert_eq!(items.len(), 4);
-                assert_eq!(items[0].as_i64(), Some(1));
-                assert_eq!(items[1], Value::Num(-2.5));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["{", "[1,", "\"unterminated", "{\"a\" 1}", "1 2", "{'a':1}"] {
-            assert!(Value::parse(bad).is_err(), "{bad} should not parse");
-        }
-    }
-
-    #[test]
     fn request_roundtrip_and_unknown_field_tolerance() {
         let line = r#"{"schemaVersion":1,"id":7,"method":"check",
             "futureField":{"x":[1]},"params":{"source":"fun id(x) = x","alsoNew":true}}"#
             .replace('\n', " ");
         let req = parse_request(&line).expect("tolerates unknown fields");
         assert_eq!(req.method, "check");
-        assert_eq!(req.params.get("source").and_then(Value::as_str), Some("fun id(x) = x"));
+        assert_eq!(req.params.get("source").and_then(Json::as_str), Some("fun id(x) = x"));
         let ok = response_ok(req.id.as_ref(), obj(vec![("ok", Json::Bool(true))]));
         assert_eq!(ok, "{\"schemaVersion\":1,\"id\":7,\"result\":{\"ok\":true}}\n");
     }

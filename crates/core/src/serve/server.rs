@@ -6,7 +6,7 @@
 //! *below* this layer, in the solver's worker pool; serialising requests
 //! keeps verdict output deterministic and the session state free of locks.
 
-use super::protocol::{self, ErrorCode, Request, Value};
+use super::protocol::{self, ErrorCode, Request};
 use super::session::{CheckOutcome, Session};
 use dml_obs::json::{obj, Json};
 use std::io::{self, BufRead, Write};
@@ -109,7 +109,7 @@ fn dispatch(session: &mut Session, request: &Request) -> Result<Json, MethodErro
         "explain" => {
             let source = required_str(&request.params, "source")?;
             let goal = match request.params.get("goal") {
-                None | Some(Value::Null) => None,
+                None | Some(Json::Null) => None,
                 Some(v) => Some(
                     v.as_i64()
                         .filter(|n| *n >= 1)
@@ -123,7 +123,7 @@ fn dispatch(session: &mut Session, request: &Request) -> Result<Json, MethodErro
         "infer" => {
             let source = required_str(&request.params, "source")?;
             let json = match request.params.get("json") {
-                None | Some(Value::Null) => false,
+                None | Some(Json::Null) => false,
                 Some(v) => v.as_bool().ok_or_else(|| bad_params("`json` must be a boolean"))?,
             };
             let text = session.infer(source, json).map_err(|e| (ErrorCode::CompileError, e))?;
@@ -166,16 +166,16 @@ fn check_json(outcome: &CheckOutcome) -> Json {
     ])
 }
 
-fn required_str<'a>(params: &'a Value, key: &str) -> Result<&'a str, MethodError> {
+fn required_str<'a>(params: &'a Json, key: &str) -> Result<&'a str, MethodError> {
     params
         .get(key)
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or_else(|| bad_params(&format!("missing required string param `{key}`")))
 }
 
-fn optional_str<'a>(params: &'a Value, key: &str) -> Result<Option<&'a str>, MethodError> {
+fn optional_str<'a>(params: &'a Json, key: &str) -> Result<Option<&'a str>, MethodError> {
     match params.get(key) {
-        None | Some(Value::Null) => Ok(None),
+        None | Some(Json::Null) => Ok(None),
         Some(v) => v
             .as_str()
             .map(Some)
@@ -196,14 +196,14 @@ mod tests {
     const VERIFIED: &str =
         "fun first(v) = sub(v, 0)\\nwhere first <| {n:nat | n > 0} int array(n) -> int\\n";
 
-    fn drive(session: &mut Session, script: &str) -> (bool, Vec<Value>) {
+    fn drive(session: &mut Session, script: &str) -> (bool, Vec<Json>) {
         let mut out = Vec::new();
         let shutdown =
             serve_connection(session, Cursor::new(script.to_string()), &mut out).unwrap();
         let responses = String::from_utf8(out)
             .unwrap()
             .lines()
-            .map(|l| Value::parse(l).expect("server emits valid JSON"))
+            .map(|l| Json::parse(l).expect("server emits valid JSON"))
             .collect();
         (shutdown, responses)
     }
@@ -224,23 +224,23 @@ mod tests {
         assert_eq!(rs.len(), 4);
 
         let first = rs[0].get("result").expect("check 1 succeeds");
-        assert_eq!(first.get("fullyVerified").and_then(Value::as_bool), Some(true));
-        assert_eq!(first.get("incremental").and_then(Value::as_bool), Some(false));
+        assert_eq!(first.get("fullyVerified").and_then(Json::as_bool), Some(true));
+        assert_eq!(first.get("incremental").and_then(Json::as_bool), Some(false));
 
         let second = rs[1].get("result").expect("check 2 succeeds");
-        assert_eq!(second.get("incremental").and_then(Value::as_bool), Some(true));
+        assert_eq!(second.get("incremental").and_then(Json::as_bool), Some(true));
         assert_eq!(
-            second.get("stats").and_then(|s| s.get("goals")).and_then(Value::as_i64),
+            second.get("stats").and_then(|s| s.get("goals")).and_then(Json::as_i64),
             Some(0),
             "warm re-check of an unchanged file solves nothing"
         );
 
         let stats = rs[2].get("result").expect("stats succeeds");
         assert_eq!(
-            stats.get("requests").and_then(|r| r.get("check")).and_then(Value::as_i64),
+            stats.get("requests").and_then(|r| r.get("check")).and_then(Json::as_i64),
             Some(2)
         );
-        assert_eq!(rs[3].get("id").and_then(Value::as_i64), Some(4));
+        assert_eq!(rs[3].get("id").and_then(Json::as_i64), Some(4));
         assert!(rs[3].get("result").is_some(), "shutdown acknowledges");
     }
 
@@ -260,14 +260,30 @@ mod tests {
             .map(|r| {
                 r.get("error")
                     .and_then(|e| e.get("code"))
-                    .and_then(Value::as_str)
+                    .and_then(Json::as_str)
                     .expect("all four are errors")
                     .to_string()
             })
             .collect();
         assert_eq!(codes, ["bad-request", "unknown-method", "bad-params", "compile-error"]);
-        assert_eq!(rs[1].get("id").and_then(Value::as_str), Some("m"));
-        assert_eq!(rs[2].get("id").and_then(Value::as_i64), Some(5));
+        assert_eq!(rs[1].get("id").and_then(Json::as_str), Some("m"));
+        assert_eq!(rs[2].get("id").and_then(Json::as_i64), Some(5));
+    }
+
+    #[test]
+    fn deeply_nested_line_is_a_bad_request_and_serving_continues() {
+        let mut session = Session::new(Compiler::new());
+        let script =
+            "[".repeat(200_000) + "\n{\"schemaVersion\":1,\"id\":2,\"method\":\"stats\"}\n";
+        let (shutdown, rs) = drive(&mut session, &script);
+        assert!(!shutdown);
+        assert_eq!(rs.len(), 2);
+        assert_eq!(
+            rs[0].get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+            Some("bad-request")
+        );
+        assert_eq!(rs[1].get("id").and_then(Json::as_i64), Some(2));
+        assert!(rs[1].get("result").and_then(|r| r.get("requests")).is_some(), "stats answered");
     }
 
     #[test]
@@ -281,7 +297,7 @@ mod tests {
         let text = rs[0]
             .get("result")
             .and_then(|r| r.get("text"))
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .expect("explain succeeds")
             .to_string();
         let direct =
@@ -321,9 +337,9 @@ mod tests {
             .unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        let check = Value::parse(line.trim()).unwrap();
+        let check = Json::parse(line.trim()).unwrap();
         assert_eq!(
-            check.get("result").and_then(|r| r.get("ok")).and_then(Value::as_bool),
+            check.get("result").and_then(|r| r.get("ok")).and_then(Json::as_bool),
             Some(true)
         );
         line.clear();

@@ -1,199 +1,10 @@
 //! Validates `dmlc check --trace-out` output against the trace schema
-//! documented in `docs/ARCHITECTURE.md` ("Trace-event schema"). The
-//! workspace is dependency-free, so this test carries its own minimal JSON
-//! parser rather than pulling in serde.
+//! documented in `docs/ARCHITECTURE.md` ("Trace-event schema"), read back
+//! with the workspace's own JSON parser. CI checks the same file with
+//! Python's `json` module as an independent validator.
 
 use dml::{chrome_trace, Compiler};
-
-// ---------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser (test-only).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.ws();
-        self.bytes[self.pos]
-    }
-
-    fn eat(&mut self, b: u8) {
-        self.ws();
-        assert_eq!(self.bytes[self.pos], b, "expected {:?} at byte {}", b as char, self.pos);
-        self.pos += 1;
-    }
-
-    fn value(&mut self) -> Value {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Value::Str(self.string()),
-            b't' => self.lit("true", Value::Bool(true)),
-            b'f' => self.lit("false", Value::Bool(false)),
-            b'n' => self.lit("null", Value::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, text: &str, v: Value) -> Value {
-        self.ws();
-        assert_eq!(&self.bytes[self.pos..self.pos + text.len()], text.as_bytes());
-        self.pos += text.len();
-        v
-    }
-
-    fn number(&mut self) -> Value {
-        self.ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Value::Num(text.parse().unwrap_or_else(|_| panic!("bad number {text:?}")))
-    }
-
-    fn string(&mut self) -> String {
-        self.eat(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes[self.pos] {
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .unwrap();
-                            let code = u32::from_str_radix(hex, 16).unwrap();
-                            out.push(char::from_u32(code).unwrap());
-                            self.pos += 4;
-                        }
-                        c => out.push(c as char),
-                    }
-                    self.pos += 1;
-                }
-                c => {
-                    // Multi-byte UTF-8 sequences pass through byte by byte;
-                    // the producer only emits ASCII outside strings.
-                    out.push(c as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Value {
-        self.eat(b'[');
-        let mut items = Vec::new();
-        if self.peek() == b']' {
-            self.pos += 1;
-            return Value::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            if self.peek() == b',' {
-                self.pos += 1;
-            } else {
-                self.eat(b']');
-                return Value::Arr(items);
-            }
-        }
-    }
-
-    fn object(&mut self) -> Value {
-        self.eat(b'{');
-        let mut pairs = Vec::new();
-        if self.peek() == b'}' {
-            self.pos += 1;
-            return Value::Obj(pairs);
-        }
-        loop {
-            self.ws();
-            let key = self.string();
-            self.eat(b':');
-            pairs.push((key, self.value()));
-            if self.peek() == b',' {
-                self.pos += 1;
-            } else {
-                self.eat(b'}');
-                return Value::Obj(pairs);
-            }
-        }
-    }
-}
-
-fn parse(s: &str) -> Value {
-    let mut p = Parser::new(s);
-    let v = p.value();
-    p.ws();
-    assert_eq!(p.pos, p.bytes.len(), "trailing garbage after JSON value");
-    v
-}
-
-// ---------------------------------------------------------------------
-// Schema checks (mirroring docs/ARCHITECTURE.md "Trace-event schema").
-// ---------------------------------------------------------------------
+use dml_obs::json::Json;
 
 const KNOWN_TAGS: &[&str] = &[
     "obligation",
@@ -218,18 +29,18 @@ fn trace_out_json_matches_documented_schema() {
     let src = include_str!("../../../examples/residual.dml");
     let compiled = Compiler::new().trace(true).compile(src).expect("compiles");
     let rendered = chrome_trace(&compiled, src, "residual.dml").render();
-    let root = parse(&rendered);
+    let root = Json::parse(&rendered).expect("trace is valid JSON");
 
     // Top level: traceEvents array, displayTimeUnit, otherData object.
-    let events = root.get("traceEvents").expect("traceEvents").as_arr().expect("array");
+    let events = root.get("traceEvents").expect("traceEvents").as_array().expect("array");
     assert!(!events.is_empty());
     assert_eq!(root.get("displayTimeUnit").unwrap().as_str(), Some("ms"));
     let other = root.get("otherData").expect("otherData");
-    assert_eq!(other.get("schemaVersion").unwrap().as_num(), Some(1.0));
+    assert_eq!(other.get("schemaVersion").unwrap().as_i64(), Some(1));
     for key in ["program", "constraints", "goals", "fuelSpent", "cacheShardSizes"] {
         assert!(other.get(key).is_some(), "otherData.{key} missing");
     }
-    let shards = other.get("cacheShardSizes").unwrap().as_arr().unwrap();
+    let shards = other.get("cacheShardSizes").unwrap().as_array().unwrap();
     assert_eq!(shards.len(), 16, "one entry per verdict-cache shard");
 
     // Every event: ph in X|i|M, integer pid/tid; spans carry ts+dur+args.
@@ -237,21 +48,21 @@ fn trace_out_json_matches_documented_schema() {
     for ev in events {
         let ph = ev.get("ph").expect("ph").as_str().expect("ph is a string");
         assert!(matches!(ph, "X" | "i" | "M"), "unknown phase {ph:?}");
-        assert!(ev.get("pid").unwrap().as_num().is_some());
-        assert!(ev.get("tid").unwrap().as_num().is_some());
+        assert!(ev.get("pid").unwrap().as_i64().is_some());
+        assert!(ev.get("tid").unwrap().as_i64().is_some());
         match ph {
             "X" => {
-                assert!(ev.get("ts").unwrap().as_num().is_some());
-                assert!(ev.get("dur").unwrap().as_num().is_some());
+                assert!(ev.get("ts").unwrap().as_f64().is_some());
+                assert!(ev.get("dur").unwrap().as_f64().is_some());
                 let name = ev.get("name").unwrap().as_str().unwrap();
                 if let Some(rest) = name.strip_prefix("goal ") {
                     goal_spans += 1;
                     assert!(rest.parse::<usize>().is_ok(), "goal span name {name:?}");
                     let args = ev.get("args").unwrap();
                     assert!(args.get("verdict").unwrap().as_str().is_some());
-                    assert!(args.get("fuel").unwrap().as_num().is_some());
-                    assert!(args.get("wall_ns").unwrap().as_num().is_some());
-                    for entry in args.get("events").unwrap().as_arr().unwrap() {
+                    assert!(args.get("fuel").unwrap().as_f64().is_some());
+                    assert!(args.get("wall_ns").unwrap().as_f64().is_some());
+                    for entry in args.get("events").unwrap().as_array().unwrap() {
                         let tag = entry.get("tag").unwrap().as_str().unwrap();
                         assert!(KNOWN_TAGS.contains(&tag), "unknown event tag {tag:?}");
                         assert!(entry.get("args").is_some());
@@ -260,7 +71,7 @@ fn trace_out_json_matches_documented_schema() {
             }
             "i" => {
                 assert_eq!(ev.get("s").unwrap().as_str(), Some("g"));
-                assert!(ev.get("ts").unwrap().as_num().is_some());
+                assert!(ev.get("ts").unwrap().as_f64().is_some());
             }
             "M" => assert_eq!(ev.get("name").unwrap().as_str(), Some("thread_name")),
             _ => unreachable!(),

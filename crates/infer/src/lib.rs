@@ -33,6 +33,7 @@ pub mod synth;
 pub mod verify;
 
 use dml_index::VarGen;
+use dml_obs::json::{obj, Json};
 use dml_solver::Solver;
 use dml_syntax::ast::{self as sast};
 use dml_syntax::Span;
@@ -299,73 +300,65 @@ impl InferReport {
         out
     }
 
-    /// Machine-readable JSON rendering (stable key order, no external
-    /// dependencies).
+    /// Machine-readable JSON rendering (stable key order).
     pub fn render_json(&self, src: &str) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"before\":{},\"after\":{},", self.before, self.after));
-        out.push_str("\"accepted\":[");
-        for (i, a) in self.accepted.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"fun\":{},\"anno\":{},\"insert_at\":{}}}",
-                json_str(&a.fun),
-                json_str(&a.rendered),
-                a.insert_at
-            ));
-        }
-        out.push_str("],\"rejected\":[");
-        for (i, r) in self.rejected.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"fun\":{},\"anno\":{},\"reason\":{}}}",
-                json_str(&r.fun),
-                json_str(&r.rendered),
-                json_str(&r.reason)
-            ));
-        }
-        out.push_str("],\"residuals\":[");
-        for (i, (span, why)) in self.residual_sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"at\":{},\"why\":{}}}",
-                json_str(&dml_syntax::line_col(src, span.start).to_string()),
-                json_str(why)
-            ));
-        }
-        out.push_str("],\"nonconverged\":[");
-        for (i, n) in self.nonconverged.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(n));
-        }
-        out.push_str("]}");
-        out
+        obj([
+            ("before", Json::Int(self.before as i64)),
+            ("after", Json::Int(self.after as i64)),
+            (
+                "accepted",
+                Json::Array(
+                    self.accepted
+                        .iter()
+                        .map(|a| {
+                            obj([
+                                ("fun", Json::Str(a.fun.clone())),
+                                ("anno", Json::Str(a.rendered.clone())),
+                                ("insert_at", Json::Int(i64::from(a.insert_at))),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "rejected",
+                Json::Array(
+                    self.rejected
+                        .iter()
+                        .map(|r| {
+                            obj([
+                                ("fun", Json::Str(r.fun.clone())),
+                                ("anno", Json::Str(r.rendered.clone())),
+                                ("reason", Json::Str(r.reason.clone())),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "residuals",
+                Json::Array(
+                    self.residual_sites
+                        .iter()
+                        .map(|(span, why)| {
+                            obj([
+                                (
+                                    "at",
+                                    Json::Str(dml_syntax::line_col(src, span.start).to_string()),
+                                ),
+                                ("why", Json::Str(why.clone())),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "nonconverged",
+                Json::Array(self.nonconverged.iter().map(|n| Json::Str(n.clone())).collect()),
+            ),
+        ])
+        .render()
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

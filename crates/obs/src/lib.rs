@@ -1,12 +1,11 @@
 //! Structured observability for the dml-rs pipeline.
 //!
-//! This crate is deliberately dependency-free (it mirrors the hand-rolled
-//! JSON approach of `crates/bench/src/json.rs`): events carry plain strings
+//! This crate is deliberately dependency-free: events carry plain strings
 //! and integers so that every layer of the pipeline — elaboration, the
 //! solver, residual lowering — can emit them without pulling the index
 //! language into scope.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! - [`TraceEvent`] / [`GoalTrace`]: typed per-goal event buffers. The
 //!   solver fills one buffer per proof goal; buffers are merged in
@@ -17,6 +16,9 @@
 //! - [`ChromeTrace`]: a writer for the Chrome trace-event format
 //!   (loadable in `chrome://tracing` / Perfetto), used by
 //!   `dmlc check --trace-out`.
+//! - [`Json`]: the workspace's one JSON value, renderer and parser, used
+//!   by traces, bench reports, `--json` CLI output and the `dmlc serve`
+//!   protocol.
 //!
 //! The stable JSON schema for `--trace-out` files is documented in
 //! `docs/ARCHITECTURE.md` ("Trace-event schema"); [`SCHEMA_VERSION`] is

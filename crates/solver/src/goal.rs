@@ -79,7 +79,8 @@ pub struct SolverOptions {
     /// When Fourier–Motzkin with tightening fails to refute a disjunct,
     /// retry with the exact Omega test (§6 future work; see
     /// [`crate::omega`]). Off by default — none of the paper's programs
-    /// need it — but the ablation bench exercises it.
+    /// need it — but `dmlc fuzz` decides every goal with it as well and
+    /// checks its proofs against the enumeration oracle.
     pub omega_fallback: bool,
     /// Number of solve workers for [`crate::parallel::prove_all`]. `None`
     /// uses the machine's available parallelism; `Some(1)` reproduces the
