@@ -159,9 +159,9 @@ struct SizeResult {
 }
 
 fn run_size(target: usize, iters: usize, auto_jobs: usize, rss_reset: bool) -> SizeResult {
-    // Spread the corpus so no single file crosses into the superlinear
-    // generation regime (see EXPERIMENTS.md); floor of 2 files keeps the
-    // jobs axis meaningful even in smoke mode.
+    // Spread the corpus over files, as a build tree would be, so the
+    // jobs axis has files to fan out; a floor of 2 files keeps it
+    // meaningful even in smoke mode.
     let files = (target / 600).clamp(2, 32);
     let cfg = ScaleConfig::new(SEED, target).files(files);
     let corpus = gen_scale_corpus(&cfg);

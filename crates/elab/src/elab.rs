@@ -29,6 +29,7 @@ use dml_types::env::{CheckKind, Env};
 use dml_types::infer::InferResult;
 use dml_types::ml::erase;
 use dml_types::ty::{Binder, Ix, Scheme, Ty};
+use dml_types::ValEnv;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -92,7 +93,7 @@ pub fn elaborate(
     gen: VarGen,
 ) -> Result<ElabOutput, ElabError> {
     let mut el = Elaborator::new(env, phase1, gen);
-    let mut vals: Vals = HashMap::new();
+    let mut vals = Vals::new();
     let scope = Scope::new();
     for d in &program.decls {
         el.decl(d, &mut vals, &scope)?;
@@ -100,14 +101,12 @@ pub fn elaborate(
         // context entries persist for later declarations).
         el.flush_pending(0);
     }
-    let mut top_level = HashMap::new();
-    for (name, scheme) in &vals {
-        top_level.insert(name.clone(), el.zonk_scheme(scheme));
-    }
+    let top_level =
+        vals.into_frame().into_iter().map(|(name, s)| (name, el.zonk_scheme(&s))).collect();
     Ok(ElabOutput { obligations: el.obligations, top_level, gen: el.gen, contexts: el.contexts })
 }
 
-type Vals = HashMap<String, Scheme>;
+type Vals<'p> = ValEnv<'p, Scheme>;
 
 /// A context entry.
 #[derive(Debug, Clone)]
@@ -557,7 +556,7 @@ impl<'e> Elaborator<'e> {
     ) -> Result<(), ElabError> {
         for clause in &f.clauses {
             let mark = self.scope_begin();
-            let mut cvals = vals.clone();
+            let mut cvals = vals.child();
             let mut cscope = scope.clone();
             // Clause checking instantiates the leading Π variables
             // *existentially*; pattern matching supplies the defining
@@ -1091,7 +1090,7 @@ impl<'e> Elaborator<'e> {
                 let st = self.unpack_sigmas(st);
                 for (p, body) in arms {
                     let mark = self.scope_begin();
-                    let mut avals = vals.clone();
+                    let mut avals = vals.child();
                     self.bind_pattern(p, &st, &mut avals)?;
                     self.record_site(SiteRole::CaseArm { con: self.arm_con(p) }, p.span(), None);
                     self.check(body, &want, &avals, scope)?;
@@ -1101,7 +1100,7 @@ impl<'e> Elaborator<'e> {
                 Ok(())
             }
             sast::Expr::Let(decls, body, _) => {
-                let mut lvals = vals.clone();
+                let mut lvals = vals.child();
                 for d in decls {
                     self.decl(d, &mut lvals, scope)?;
                 }
@@ -1137,7 +1136,7 @@ impl<'e> Elaborator<'e> {
                 Ty::Arrow(dom, cod) => {
                     for (p, body) in arms {
                         let mark = self.scope_begin();
-                        let mut avals = vals.clone();
+                        let mut avals = vals.child();
                         self.bind_pattern(p, dom, &mut avals)?;
                         self.check(body, cod, &avals, scope)?;
                         self.scope_end(mark);
@@ -1238,7 +1237,7 @@ impl<'e> Elaborator<'e> {
                 let mut out: Option<Ty> = None;
                 for (p, body) in arms {
                     let mark = self.scope_begin();
-                    let mut avals = vals.clone();
+                    let mut avals = vals.child();
                     self.bind_pattern(p, &st, &mut avals)?;
                     self.record_site(SiteRole::CaseArm { con: self.arm_con(p) }, p.span(), None);
                     let bt = self.synth(body, &avals, scope)?;
@@ -1253,7 +1252,7 @@ impl<'e> Elaborator<'e> {
                 out.ok_or_else(|| ElabError::new("empty case expression", *span))
             }
             sast::Expr::Let(decls, body, _) => {
-                let mut lvals = vals.clone();
+                let mut lvals = vals.child();
                 for d in decls {
                     self.decl(d, &mut lvals, scope)?;
                 }

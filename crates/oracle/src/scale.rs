@@ -30,9 +30,10 @@
 //! stamp is a divergence, whatever the configuration.
 //!
 //! The generator is deterministic per seed and splits the corpus across
-//! files: constraint generation is superlinear in single-file size (see
-//! `EXPERIMENTS.md`), and the multi-file shape is both the realistic
-//! multi-tenant workload and what `dmlc check --jobs N` fans out.
+//! files: the multi-file shape is both the realistic multi-tenant
+//! workload and what `dmlc check --jobs N` fans out. Constraint
+//! generation is linear in single-file size (see `EXPERIMENTS.md`), so
+//! the split is about the workload's shape, not about generation cost.
 
 use crate::rng::OracleRng;
 use dml::UnknownReason;
@@ -131,8 +132,8 @@ pub struct ScaleConfig {
     /// Total obligations to generate across the corpus (hit within one
     /// unit's worth, ≤ `3 · max_depth − 1`).
     pub target_obligations: usize,
-    /// Number of files to split the corpus over. Constraint generation
-    /// is superlinear in single-file size, so mega-corpora must spread.
+    /// Number of files to split the corpus over, as a build tree would
+    /// be; the files are what `dmlc check --jobs N` spreads over workers.
     pub files: usize,
     /// Relative unit-shape weights: proven chain.
     pub proven_weight: u32,
@@ -148,8 +149,8 @@ pub struct ScaleConfig {
 
 impl ScaleConfig {
     /// A corpus of roughly `target_obligations` obligations with the
-    /// default shape mix, split over a file count that keeps per-file
-    /// generation time tame.
+    /// default shape mix, split over one file per 1 200 obligations
+    /// (rounded down, clamped to 1..=64 files).
     pub fn new(seed: u64, target_obligations: usize) -> ScaleConfig {
         ScaleConfig {
             seed,

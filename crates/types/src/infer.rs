@@ -10,6 +10,7 @@
 use crate::env::Env;
 use crate::ml::{MlScheme, MlTy};
 use crate::unify::Unifier;
+use crate::valenv::ValEnv;
 use dml_syntax::ast as sast;
 use dml_syntax::Span;
 use std::collections::{BTreeSet, HashMap};
@@ -59,7 +60,7 @@ pub fn infer_program(program: &sast::Program, env: &Env) -> Result<InferResult, 
         ["Subscript", "Div", "Size", "Match", "Overflow"].iter().map(|s| s.to_string()).collect();
     let mut inf =
         Inferencer { env, uni: Unifier::new(), result: InferResult::default(), exceptions };
-    let mut vals: HashMap<String, MlScheme> = HashMap::new();
+    let mut vals = ValEnv::new();
     for d in &program.decls {
         inf.decl(d, &mut vals)?;
     }
@@ -67,10 +68,9 @@ pub fn infer_program(program: &sast::Program, env: &Env) -> Result<InferResult, 
     for s in inf.result.schemes.values_mut() {
         s.ty = inf.uni.resolve(&s.ty);
     }
-    for (name, s) in &vals {
-        inf.result
-            .top_level
-            .insert(name.clone(), MlScheme { vars: s.vars.clone(), ty: inf.uni.resolve(&s.ty) });
+    for (name, s) in vals.into_frame() {
+        let ty = inf.uni.resolve(&s.ty);
+        inf.result.top_level.insert(name, MlScheme { vars: s.vars, ty });
     }
     Ok(inf.result)
 }
@@ -103,8 +103,15 @@ impl<'e> Inferencer<'e> {
         scheme.ty.subst_rigids(&|n| map.get(n).cloned())
     }
 
-    /// Generalises `ty` over unification variables not free in `vals`.
-    fn generalize(&mut self, ty: &MlTy, vals: &HashMap<String, MlScheme>) -> MlScheme {
+    /// Generalises `ty` over unification variables free in no visible
+    /// binding of `vals`, leaving out the bindings of the recursive
+    /// `group` being generalized (empty for a `val`).
+    fn generalize(
+        &mut self,
+        ty: &MlTy,
+        vals: &ValEnv<MlScheme>,
+        group: &[sast::FunDecl],
+    ) -> MlScheme {
         let ty = self.uni.resolve(ty);
         let mut ty_uvars = BTreeSet::new();
         ty.uvars_into(&mut ty_uvars);
@@ -116,9 +123,15 @@ impl<'e> Inferencer<'e> {
             // top level there is no surrounding rigid scope.
             return MlScheme { vars: vars.into_iter().collect(), ty };
         }
+        // Only bindings made open can hold unification variables.
         let mut env_uvars = BTreeSet::new();
-        for s in vals.values() {
-            self.uni.resolve(&s.ty).uvars_into(&mut env_uvars);
+        for name in vals.open_names() {
+            if group.iter().any(|f| f.name.name == name) {
+                continue;
+            }
+            if let Some(s) = vals.get(name) {
+                self.uni.resolve(&s.ty).uvars_into(&mut env_uvars);
+            }
         }
         let gen_uvars: Vec<u32> = ty_uvars.difference(&env_uvars).copied().collect();
         let mut names = Vec::new();
@@ -138,11 +151,7 @@ impl<'e> Inferencer<'e> {
     // Declarations.
     // -----------------------------------------------------------------
 
-    fn decl(
-        &mut self,
-        d: &sast::Decl,
-        vals: &mut HashMap<String, MlScheme>,
-    ) -> Result<(), InferError> {
+    fn decl(&mut self, d: &sast::Decl, vals: &mut ValEnv<MlScheme>) -> Result<(), InferError> {
         match d {
             // Environment-shaping declarations were processed before
             // inference began.
@@ -159,7 +168,7 @@ impl<'e> Inferencer<'e> {
     fn fun_group(
         &mut self,
         funs: &[sast::FunDecl],
-        vals: &mut HashMap<String, MlScheme>,
+        vals: &mut ValEnv<MlScheme>,
     ) -> Result<(), InferError> {
         // Bind every function monomorphically for the recursive knot.
         let mut fun_tys = Vec::with_capacity(funs.len());
@@ -168,18 +177,22 @@ impl<'e> Inferencer<'e> {
                 Some(anno) => self.ml_of_dtype(anno)?,
                 None => self.fresh(),
             };
-            vals.insert(f.name.name.clone(), MlScheme::mono(ty.clone()));
+            bind(vals, f.name.name.clone(), MlScheme::mono(ty.clone()));
             fun_tys.push(ty);
         }
         for (f, fty) in funs.iter().zip(&fun_tys) {
             self.fun_clauses(f, fty, vals)?;
         }
-        // Generalise after the whole group is checked.
-        for (f, fty) in funs.iter().zip(&fun_tys) {
-            vals.remove(&f.name.name);
-            let scheme = self.generalize(fty, vals);
+        // Generalise after the whole group is checked, every member
+        // against the environment without the group's monomorphic knot,
+        // so that mutually recursive members generalize together.
+        let mut schemes = Vec::with_capacity(funs.len());
+        for fty in &fun_tys {
+            schemes.push(self.generalize(fty, vals, funs));
+        }
+        for (f, scheme) in funs.iter().zip(schemes) {
             self.result.schemes.insert(f.name.span, scheme.clone());
-            vals.insert(f.name.name.clone(), scheme);
+            bind(vals, f.name.name.clone(), scheme);
         }
         Ok(())
     }
@@ -188,7 +201,7 @@ impl<'e> Inferencer<'e> {
         &mut self,
         f: &sast::FunDecl,
         fty: &MlTy,
-        vals: &HashMap<String, MlScheme>,
+        vals: &ValEnv<MlScheme>,
     ) -> Result<(), InferError> {
         let arity = f.clauses.first().map(|c| c.params.len()).unwrap_or(0);
         for c in &f.clauses {
@@ -215,7 +228,7 @@ impl<'e> Inferencer<'e> {
             res = b;
         }
         for c in &f.clauses {
-            let mut scope = vals.clone();
+            let mut scope = vals.child();
             for (p, a) in c.params.iter().zip(&arg_tys) {
                 let pt = self.pat(p, &mut scope)?;
                 self.unify(&pt, a, p.span())?;
@@ -229,27 +242,32 @@ impl<'e> Inferencer<'e> {
     fn val_decl(
         &mut self,
         v: &sast::ValDecl,
-        vals: &mut HashMap<String, MlScheme>,
+        vals: &mut ValEnv<MlScheme>,
     ) -> Result<(), InferError> {
         let et = self.expr(&v.expr, vals)?;
         if let Some(anno) = &v.anno {
             let at = self.ml_of_dtype(anno)?;
             self.unify(&et, &at, v.span)?;
         }
-        let mut scope = vals.clone();
+        let mut scope = vals.child();
         let pt = self.pat(&v.pat, &mut scope)?;
         self.unify(&pt, &et, v.pat.span())?;
+        let bound: Vec<_> = v
+            .pat
+            .bound_vars()
+            .into_iter()
+            .map(|b| (b, scope.get(&b.name).expect("pattern bound").ty.clone()))
+            .collect();
         // Value restriction: only generalise syntactic values.
         let generalizable = is_syntactic_value(&v.expr);
-        for bound in v.pat.bound_vars() {
-            let raw = scope.get(&bound.name).expect("pattern bound").clone();
+        for (bound, raw) in bound {
             let scheme = if generalizable {
-                self.generalize(&raw.ty, vals)
+                self.generalize(&raw, vals, &[])
             } else {
-                MlScheme::mono(self.uni.resolve(&raw.ty))
+                MlScheme::mono(self.uni.resolve(&raw))
             };
             self.result.schemes.insert(bound.span, scheme.clone());
-            vals.insert(bound.name.clone(), scheme);
+            bind(vals, bound.name.clone(), scheme);
         }
         Ok(())
     }
@@ -258,11 +276,7 @@ impl<'e> Inferencer<'e> {
     // Patterns.
     // -----------------------------------------------------------------
 
-    fn pat(
-        &mut self,
-        p: &sast::Pat,
-        scope: &mut HashMap<String, MlScheme>,
-    ) -> Result<MlTy, InferError> {
+    fn pat(&mut self, p: &sast::Pat, scope: &mut ValEnv<MlScheme>) -> Result<MlTy, InferError> {
         match p {
             sast::Pat::Wild(_) => Ok(self.fresh()),
             sast::Pat::Int(_, _) => Ok(MlTy::int()),
@@ -279,7 +293,7 @@ impl<'e> Inferencer<'e> {
                     Ok(self.instantiate_con_result(&id.name))
                 } else {
                     let t = self.fresh();
-                    scope.insert(id.name.clone(), MlScheme::mono(t.clone()));
+                    scope.insert_open(id.name.clone(), MlScheme::mono(t.clone()));
                     Ok(t)
                 }
             }
@@ -343,11 +357,7 @@ impl<'e> Inferencer<'e> {
     // Expressions.
     // -----------------------------------------------------------------
 
-    fn expr(
-        &mut self,
-        e: &sast::Expr,
-        vals: &HashMap<String, MlScheme>,
-    ) -> Result<MlTy, InferError> {
+    fn expr(&mut self, e: &sast::Expr, vals: &ValEnv<MlScheme>) -> Result<MlTy, InferError> {
         match e {
             sast::Expr::Var(id) => {
                 if let Some(s) = vals.get(&id.name) {
@@ -394,7 +404,7 @@ impl<'e> Inferencer<'e> {
                 let st = self.expr(scrut, vals)?;
                 let result = self.fresh();
                 for (p, body) in arms {
-                    let mut scope = vals.clone();
+                    let mut scope = vals.child();
                     let pt = self.pat(p, &mut scope)?;
                     self.unify(&pt, &st, p.span())?;
                     let bt = self.expr(body, &scope)?;
@@ -403,7 +413,7 @@ impl<'e> Inferencer<'e> {
                 Ok(result)
             }
             sast::Expr::Let(decls, body, _) => {
-                let mut scope = vals.clone();
+                let mut scope = vals.child();
                 for d in decls {
                     match d {
                         sast::Decl::Datatype(dd) => {
@@ -421,7 +431,7 @@ impl<'e> Inferencer<'e> {
                 let pt = self.fresh();
                 let bt = self.fresh();
                 for (p, body) in arms {
-                    let mut scope = vals.clone();
+                    let mut scope = vals.child();
                     let t = self.pat(p, &mut scope)?;
                     self.unify(&t, &pt, p.span())?;
                     let b = self.expr(body, &scope)?;
@@ -509,6 +519,16 @@ impl<'e> Inferencer<'e> {
             }
             sast::DType::Pi(_, body) | sast::DType::Sigma(_, body) => self.ml_of_dtype(body),
         }
+    }
+}
+
+/// Binds `name` in the current frame, as open while its type still
+/// mentions a unification variable.
+fn bind(vals: &mut ValEnv<MlScheme>, name: String, scheme: MlScheme) {
+    if scheme.ty.has_uvars() {
+        vals.insert_open(name, scheme);
+    } else {
+        vals.insert(name, scheme);
     }
 }
 
@@ -603,6 +623,17 @@ mod tests {
                    and odd(n) = if n = 0 then false else even(n - 1)";
         assert_eq!(top(src, "even"), "int -> bool");
         assert_eq!(top(src, "odd"), "int -> bool");
+    }
+
+    #[test]
+    fn mutually_recursive_group_generalizes_together() {
+        // `f` must not stay monomorphic because `g` was still being
+        // inferred when `f` was generalized.
+        let src = "fun f x = g x and g y = y";
+        assert_eq!(top(src, "f"), "forall t0. 't0 -> 't0");
+        assert_eq!(top(src, "g"), "forall t0. 't0 -> 't0");
+        let src = "fun f x = g x and g y = y  fun u (z) = (f 1, f true)";
+        assert_eq!(top(src, "u"), "forall t0. 't0 -> int * bool");
     }
 
     #[test]

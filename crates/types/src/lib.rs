@@ -14,6 +14,7 @@
 //! * [`ty`] — the internal dependent type language (Π/Σ/families/products);
 //! * [`ml`] + [`unify`] — erased ML types and unification;
 //! * [`infer`] — Hindley–Milner inference with the value restriction;
+//! * [`valenv`] — scoped value environments shared by both phases;
 //! * [`convert`] — elaboration of surface [`dml_syntax`] types into
 //!   internal types over the semantic index language of [`dml_index`];
 //! * [`builtins`] — the dependent signatures of the refined standard basis
@@ -28,8 +29,10 @@ pub mod infer;
 pub mod ml;
 pub mod ty;
 pub mod unify;
+pub mod valenv;
 
 pub use env::{ConInfo, Env, TyperefInfo};
 pub use infer::{infer_program, InferError, InferResult};
 pub use ml::{MlScheme, MlTy};
 pub use ty::{Binder, Ix, Scheme, Ty};
+pub use valenv::ValEnv;

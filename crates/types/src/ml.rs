@@ -85,6 +85,16 @@ impl MlTy {
         }
     }
 
+    /// Whether any unification variable occurs in the type.
+    pub fn has_uvars(&self) -> bool {
+        match self {
+            MlTy::UVar(_) => true,
+            MlTy::Rigid(_) => false,
+            MlTy::Con(_, ts) | MlTy::Tuple(ts) => ts.iter().any(MlTy::has_uvars),
+            MlTy::Arrow(a, b) => a.has_uvars() || b.has_uvars(),
+        }
+    }
+
     /// Collects rigid variable names.
     pub fn rigids_into(&self, out: &mut BTreeSet<String>) {
         match self {

@@ -203,6 +203,30 @@ where odd <| {k:nat} int(k) -> bool
 }
 
 #[test]
+fn unannotated_mutual_recursion_is_polymorphic() {
+    // Standard ML gives both `f` and `g` the type 'a -> 'a, so `f` may be
+    // used at `bool` and at `int` in one caller, whose guarded `sub` is
+    // still proven.
+    let src = r#"
+fun f x = g x
+and g y = y
+fun get(v, i) = if f true then sub(v, i) else f 0
+where get <| {n:nat} {i:nat | i < n} int array(n) * int(i) -> int
+"#;
+    let c = compile(src).unwrap();
+    assert!(
+        c.fully_verified(),
+        "{:?}",
+        c.failures().map(|(o, r)| format!("{o} {r:?}")).collect::<Vec<_>>()
+    );
+    assert_eq!(c.proven_sites().len(), 1);
+    let mut m = c.machine(Mode::Eliminated);
+    let r = m.call("get", vec![pair(Value::int_array([4, 5, 6]), Value::Int(2))]).unwrap();
+    assert_eq!(r.as_int(), Some(6));
+    assert_eq!(m.counters.array_checks_eliminated, 1);
+}
+
+#[test]
 fn list_length_primitive_refines() {
     let src = r#"
 fun safe_nth(l, i) =

@@ -102,3 +102,33 @@ fn batch_merged_report_is_worker_count_invariant() {
     assert_eq!(seq.summary.goals, par.summary.goals);
     assert_eq!(seq.summary.constraints, par.summary.constraints);
 }
+
+#[test]
+fn single_file_generation_time_grows_linearly() {
+    // Constraint generation must scale with the file, not with the square
+    // of it: each clause, `case` arm and `let` opens a scope in O(1), and
+    // phase-1 generalization resolves only the bindings that can still
+    // hold unification variables. 8x the obligations in one file may cost
+    // at most 16x the generation time (best of three cold compiles each).
+    let generation = |target: usize| {
+        let corpus = gen_scale_corpus(&ScaleConfig::new(1, target).files(1));
+        let case = &corpus.cases[0];
+        let compiler = Compiler::new();
+        (0..3)
+            .map(|_| {
+                dml::clear_gen_memo();
+                let compiled = compiler.compile(&case.source).expect("scale case compiles");
+                verify_scale_case(&compiled, &case.expected).expect("stamped counts");
+                compiled.stats().generation_time
+            })
+            .min()
+            .expect("three compiles")
+    };
+    let small = generation(500);
+    let large = generation(4000);
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio < 16.0,
+        "500 -> 4000 obligations: generation {small:?} -> {large:?} ({ratio:.1}x)"
+    );
+}
