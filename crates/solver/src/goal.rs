@@ -1318,6 +1318,87 @@ mod tests {
         assert!(with_omega.prove(&c, &mut g).all_proven(), "the Omega fallback decides it");
     }
 
+    /// A disjunct the Omega fallback refutes is not the end of the goal:
+    /// the disjuncts after it are still decided. `¬gray(x, y) ∧ x ≤ 5`
+    /// negates to `gray(x, y) ∨ x > 5`; the first disjunct has no integer
+    /// point but survives FM, the second is falsified at `x = 6`.
+    #[test]
+    fn omega_refuted_disjunct_does_not_end_the_goal() {
+        let mut g = VarGen::new();
+        let x = g.fresh("x");
+        let y = g.fresh("y");
+        let e1 = IExp::lit(11) * IExp::var(x.clone()) + IExp::lit(13) * IExp::var(y.clone());
+        let e2 = IExp::lit(7) * IExp::var(x.clone()) - IExp::lit(9) * IExp::var(y.clone());
+        let gray = Prop::le(IExp::lit(27), e1.clone())
+            .and(Prop::le(e1, IExp::lit(45)))
+            .and(Prop::le(IExp::lit(-10), e2.clone()))
+            .and(Prop::le(e2, IExp::lit(4)));
+        let goal = Goal {
+            ctx: vec![(x.clone(), Sort::Int), (y, Sort::Int)],
+            hyps: vec![],
+            concl: Prop::Not(Box::new(gray)).and(Prop::le(IExp::var(x), IExp::lit(5))),
+            residual_existential: false,
+        };
+        let decide = |omega: bool, g: &mut VarGen| {
+            let opts = SolverOptions::default().with_omega_fallback(omega).with_trace(true);
+            let mut stats = SolverStats::default();
+            let (v, tr) = Solver::new(opts).decide_traced(&goal, g, &mut stats);
+            (v, stats, tr.expect("trace mode"))
+        };
+        let (v, stats, tr) = decide(false, &mut g);
+        assert_eq!(v, Verdict::Unknown(UnknownReason::PossiblyFalsifiable));
+        assert_eq!(stats.disjuncts_refuted, 0);
+        let starts = |tr: &GoalTrace| {
+            tr.events.iter().filter(|e| matches!(e, TraceEvent::SystemStart { .. })).count()
+        };
+        assert_eq!(starts(&tr), 1, "without the fallback the first disjunct ends the goal");
+
+        let (v, stats, tr) = decide(true, &mut g);
+        assert_eq!(v, Verdict::Refuted, "the second disjunct is decided and falsified");
+        assert_eq!(stats.disjuncts_refuted, 1, "only the Omega-refuted disjunct");
+        assert!(tr.events.contains(&TraceEvent::Dnf { disjuncts: 2 }));
+        assert_eq!(starts(&tr), 2);
+        assert_eq!(tr.witness(), Some(&[("x".to_string(), 6)][..]));
+    }
+
+    /// A goal whose negation expands past `max_disjuncts` is
+    /// `Unknown(Blowup)` before any elimination work is spent.
+    #[test]
+    fn dnf_blowup_spends_no_elimination_work() {
+        let mut g = VarGen::new();
+        let x = g.fresh("x");
+        // Nine hypotheses `x <> i`, two disjuncts each: 2^9 = 512 > 256.
+        let goal = Goal {
+            ctx: vec![(x.clone(), Sort::Int)],
+            hyps: (0..9).map(|i| Prop::cmp(Cmp::Ne, IExp::var(x.clone()), IExp::lit(i))).collect(),
+            concl: Prop::le(IExp::var(x), IExp::lit(100)),
+            residual_existential: false,
+        };
+        for trace in [false, true] {
+            let s = Solver::new(SolverOptions::default().with_trace(trace));
+            assert_eq!(s.options().max_disjuncts, 256);
+            let mut stats = SolverStats::default();
+            let (v, tr) = s.decide_traced(&goal, &mut g, &mut stats);
+            assert_eq!(v, Verdict::Unknown(UnknownReason::Blowup));
+            assert_eq!(stats.fm_combinations, 0);
+            assert_eq!(stats.disjuncts_refuted, 0);
+            if let Some(tr) = tr {
+                assert_eq!(tr.fuel_spent, 0);
+                assert!(!tr.events.iter().any(|e| matches!(e, TraceEvent::Dnf { .. })));
+            }
+        }
+        // One hypothesis fewer fits: 2^8 · 1 = 256 disjuncts, all refuted
+        // or not, but expanded.
+        let mut fits = goal.clone();
+        fits.hyps.pop();
+        let mut stats = SolverStats::default();
+        assert_ne!(
+            solver().decide(&fits, &mut g, &mut stats),
+            Verdict::Unknown(UnknownReason::Blowup)
+        );
+        assert!(stats.fm_combinations > 0);
+    }
+
     /// Re-proving a constraint (or an alpha-variant of it) hits the verdict
     /// cache and returns identical results.
     #[test]

@@ -24,6 +24,11 @@ fn fixed_seed_runs_are_bit_identical() {
     assert!(a.ok(), "{}", a.render_human());
     assert_eq!(a.digest, b.digest, "verdict digests differ for the same seed");
     assert_eq!(a.render_json(), b.render_json(), "full reports differ for the same seed");
+    // Pinned values: a change to the decision kernel that keeps every
+    // verdict keeps these. `dmlc fuzz --seed 42 --iters 120 --no-programs`
+    // prints the same figures.
+    assert_eq!(format!("{:016x}", a.digest), "d72f38eceb3a8431", "verdict digest moved");
+    assert_eq!((a.proven, a.refuted, a.unknown), (53, 65, 2), "solver verdict counts moved");
 }
 
 #[test]
