@@ -37,7 +37,7 @@
 //! * `dmlc check --trace-out trace.json` writes a Chrome trace-event file
 //!   (loadable in `chrome://tracing` / Perfetto) with pipeline phase spans,
 //!   per-goal solver spans, fuel, and verdict-cache shard occupancy.
-//! * `dmlc table 1 --timings` appends per-phase solver latency histograms.
+//! * `dmlc table 1 --timings` appends per-phase solver totals and histograms.
 //!
 //! Session flags (accepted by `check`, `constraints`, `lint`, `run`/`eval`):
 //!

@@ -88,8 +88,9 @@ pub fn table1_rendered() -> Table {
 }
 
 /// Renders the per-phase solver timing histograms aggregated over every
-/// Table 1 row (`dmlc table 1 --timings`). Timing buckets vary run to run,
-/// so this never enters golden comparisons.
+/// Table 1 row (`dmlc table 1 --timings`): each phase's total time, then
+/// its bucket counts. Timings vary run to run, so this never enters golden
+/// comparisons.
 pub fn table1_timings(rows: &[Table1Row]) -> String {
     let mut total = dml_solver::PhaseTimes::default();
     for r in rows {
@@ -97,7 +98,8 @@ pub fn table1_timings(rows: &[Table1Row]) -> String {
     }
     let mut out = String::from("\nsolver phase timings (all programs):\n");
     for (label, hist) in total.phases() {
-        out.push_str(&format!("  {label:<16} {hist}\n"));
+        let ms = hist.total().as_secs_f64() * 1e3;
+        out.push_str(&format!("  {label:<16} {ms:>9.3} ms  {hist}\n"));
     }
     out
 }

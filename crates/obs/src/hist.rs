@@ -2,9 +2,11 @@
 //!
 //! `SolverStats` records one histogram per solver phase (lowering, DNF
 //! expansion, elimination, witness search) plus one for whole-goal decide
-//! time. Recording is two comparisons and an increment — cheap enough to
-//! stay on unconditionally — and the histogram is only *rendered* on
-//! request (`dmlc table 1 --timings`), so default output is unchanged.
+//! time. Recording is a few comparisons, an increment and an addition —
+//! cheap enough to stay on unconditionally — and the histogram is only
+//! *rendered* on request (`dmlc table 1 --timings`), so default output is
+//! unchanged. Besides its bucket counts a histogram keeps the sum of the
+//! durations it recorded, so a phase's total time can be read back.
 
 use std::fmt;
 use std::time::Duration;
@@ -22,10 +24,12 @@ const BOUNDS_NS: [u64; 6] = [
 /// Human-readable labels, index-aligned with the histogram buckets.
 pub const BUCKET_LABELS: [&str; 7] = ["<10us", "<100us", "<1ms", "<10ms", "<100ms", "<1s", ">=1s"];
 
-/// A latency histogram with seven logarithmic buckets from 10µs to 1s.
+/// A latency histogram with seven logarithmic buckets from 10µs to 1s,
+/// plus the total of the recorded durations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimingHistogram {
     buckets: [u64; 7],
+    total: Duration,
 }
 
 impl TimingHistogram {
@@ -39,13 +43,15 @@ impl TimingHistogram {
         let ns = d.as_nanos().min(u128::from(u64::MAX)) as u64;
         let idx = BOUNDS_NS.iter().position(|&b| ns < b).unwrap_or(BOUNDS_NS.len());
         self.buckets[idx] += 1;
+        self.total = self.total.saturating_add(d);
     }
 
-    /// Add another histogram's counts into this one.
+    /// Add another histogram's counts and total into this one.
     pub fn merge(&mut self, other: &TimingHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
+        self.total = self.total.saturating_add(other.total);
     }
 
     /// Total number of recorded samples.
@@ -61,6 +67,11 @@ impl TimingHistogram {
     /// Raw bucket counts, index-aligned with [`BUCKET_LABELS`].
     pub fn buckets(&self) -> &[u64; 7] {
         &self.buckets
+    }
+
+    /// The sum of every recorded duration (saturating at `Duration::MAX`).
+    pub fn total(&self) -> Duration {
+        self.total
     }
 }
 
@@ -98,6 +109,22 @@ mod tests {
         h.record(Duration::from_secs(2)); // >=1s
         assert_eq!(h.buckets(), &[1, 1, 0, 1, 0, 0, 1]);
         assert_eq!(h.count(), 4);
+    }
+
+    #[test]
+    fn total_sums_recorded_and_merged_durations() {
+        let mut a = TimingHistogram::new();
+        assert_eq!(a.total(), Duration::ZERO);
+        a.record(Duration::from_micros(3));
+        a.record(Duration::from_millis(2));
+        assert_eq!(a.total(), Duration::from_micros(2_003));
+        let mut b = TimingHistogram::new();
+        b.record(Duration::from_secs(1));
+        a.merge(&b);
+        assert_eq!(a.total(), Duration::from_micros(1_002_003));
+        // Saturates instead of overflowing.
+        a.record(Duration::MAX);
+        assert_eq!(a.total(), Duration::MAX);
     }
 
     #[test]
