@@ -9,10 +9,10 @@
 
 use crate::cache::GoalCache;
 use crate::canon::{canonicalize_budgeted, BudgetClass};
-use crate::dnf::{expand_ne, to_systems, DnfError};
+use crate::dnf::{expand_ne, Dnf, DnfError};
 use crate::lower::Lowering;
 use crate::stats::SolverStats;
-use crate::system::{FourierOptions, FuelMeter, RefuteResult, RefuteTrace, System};
+use crate::system::{FourierOptions, FuelMeter, RefuteResult, RefuteTrace};
 use dml_index::{Constraint, IExp, Linear, Prop, Sort, UnknownReason, Var, VarGen, Verdict};
 use dml_obs::{GoalTrace, TraceEvent};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -453,7 +453,7 @@ impl Solver {
         let mut lowered = Prop::True;
         let mut weakened = false;
         for h in &goal.hyps {
-            let hx = expand_ne(&h.clone().nnf());
+            let hx = expand_ne(h.clone().nnf());
             match lowering.lower_prop(&hx) {
                 Ok(p) => lowered = lowered.and(p),
                 Err(_) => {
@@ -464,7 +464,7 @@ impl Solver {
                 }
             }
         }
-        let neg_concl = expand_ne(&goal.concl.clone().negate().nnf());
+        let neg_concl = expand_ne(goal.concl.clone().negate().nnf());
         match lowering.lower_prop(&neg_concl) {
             Ok(p) => lowered = lowered.and(p),
             Err(nl) => {
@@ -490,12 +490,12 @@ impl Solver {
         }
         stats.phase_times.lowering.record(t_lower.elapsed());
         let t_dnf = Instant::now();
-        let formula = expand_ne(&lowered.and(sides).nnf());
-        let systems = match to_systems(&formula, self.opts.max_disjuncts) {
-            Ok(s) => {
-                stats.phase_times.dnf.record(t_dnf.elapsed());
-                s
-            }
+        // Already in NNF without `<>`: the hypotheses and the negated
+        // conclusion were normalised before lowering, which keeps their
+        // shape, and the side constraints are built that way.
+        let formula = lowered.and(sides);
+        let dnf = match Dnf::expand(&formula, self.opts.max_disjuncts) {
+            Ok(d) => d,
             Err(e) => {
                 stats.phase_times.dnf.record(t_dnf.elapsed());
                 if let Some(t) = tr.as_deref_mut() {
@@ -509,19 +509,27 @@ impl Solver {
                 }
             }
         };
+        // DNF time is the expansion plus building each system the loop
+        // reaches; building is timed inside the loop and taken out of the
+        // elimination time.
+        let mut dnf_time = t_dnf.elapsed();
         if let Some(t) = tr.as_deref_mut() {
-            t.push(TraceEvent::Dnf { disjuncts: systems.len() });
+            t.push(TraceEvent::Dnf { disjuncts: dnf.len() });
         }
         // Stable per-goal variable names for trace events: context
         // variables keep their display names, lowering-introduced ones get
         // positional names independent of worker id ranges.
-        let names = tr.as_ref().map(|_| stable_names(goal, &systems));
+        let names = tr.as_ref().map(|_| stable_names(goal, &dnf.vars()));
         // One meter per goal, shared across its disjunct systems: the fuel
         // budget bounds the goal's total elimination work.
         let mut meter = FuelMeter::new(self.opts.fuel, self.opts.deadline);
         let t_elim = Instant::now();
+        let mut build_time = Duration::ZERO;
         let verdict = 'solve: {
-            for (index, sys) in systems.iter().enumerate() {
+            for index in 0..dnf.len() {
+                let t_build = Instant::now();
+                let sys = dnf.system(index);
+                build_time += t_build.elapsed();
                 if let Some(t) = tr.as_deref_mut() {
                     t.push(TraceEvent::SystemStart { index, ineqs: sys.len() });
                 }
@@ -541,7 +549,7 @@ impl Solver {
                     RefuteResult::PossiblySat => {
                         if self.opts.omega_fallback
                             && crate::omega::omega_refutes(
-                                sys,
+                                &sys,
                                 gen,
                                 &crate::omega::OmegaOptions::default(),
                             )
@@ -560,7 +568,7 @@ impl Solver {
                         let exact = !weakened && !goal.residual_existential && lowered_vars == 0;
                         if exact && sys.vars().len() <= REFUTE_SEARCH_MAX_VARS {
                             let t_wit = Instant::now();
-                            let sol = crate::exhaustive::find_solution(sys, REFUTE_SEARCH_BOUND);
+                            let sol = crate::exhaustive::find_solution(&sys, REFUTE_SEARCH_BOUND);
                             stats.phase_times.witness_search.record(t_wit.elapsed());
                             if let Some(sol) = sol {
                                 if let Some(t) = tr.as_deref_mut() {
@@ -595,7 +603,9 @@ impl Solver {
             }
             Verdict::Proven
         };
-        stats.phase_times.elimination.record(t_elim.elapsed());
+        dnf_time += build_time;
+        stats.phase_times.dnf.record(dnf_time);
+        stats.phase_times.elimination.record(t_elim.elapsed().saturating_sub(build_time));
         verdict
     }
 }
@@ -604,12 +614,13 @@ impl Solver {
 ///
 /// Context variables keep their display names (elaboration assigns those
 /// deterministically before any parallel solving starts); duplicate display
-/// names are disambiguated by an `@k` suffix in id order. Variables the
-/// systems mention beyond the context are lowering-introduced: their raw
+/// names are disambiguated by an `@k` suffix in id order. `vars` holds
+/// every variable the goal's disjunct systems mention ([`Dnf::vars`]);
+/// those beyond the context are lowering-introduced: their raw
 /// names embed worker-dependent ids, so they are renamed positionally
 /// (`$1`, `$2`, …) in id order, which within one goal is creation order on
 /// every worker.
-fn stable_names(goal: &Goal, systems: &[System]) -> HashMap<Var, String> {
+fn stable_names(goal: &Goal, vars: &BTreeSet<Var>) -> HashMap<Var, String> {
     let mut names: HashMap<Var, String> = HashMap::new();
     let mut used: HashSet<String> = HashSet::new();
     for (v, _) in &goal.ctx {
@@ -627,13 +638,9 @@ fn stable_names(goal: &Goal, systems: &[System]) -> HashMap<Var, String> {
         }
         names.insert(v.clone(), name);
     }
-    let mut all: BTreeSet<Var> = BTreeSet::new();
-    for sys in systems {
-        all.extend(sys.vars());
-    }
     let mut fresh = 0usize;
-    for v in all {
-        if let std::collections::hash_map::Entry::Vacant(e) = names.entry(v) {
+    for v in vars {
+        if let std::collections::hash_map::Entry::Vacant(e) = names.entry(v.clone()) {
             fresh += 1;
             e.insert(format!("${fresh}"));
         }

@@ -14,7 +14,11 @@
 //!    ([`system::System::refute`]),
 //! 4. lowers `div`, `mod`, `min`, `max`, `abs`, `sgn` to linear systems with
 //!    fresh variables first ([`lower`]), and expands disjunctions by DNF
-//!    ([`dnf`]).
+//!    ([`dnf`]), building each disjunct's system only when step 3 reaches
+//!    it,
+//! 5. searches a disjunct that step 3 cannot refute for an integer point in
+//!    a small box ([`exhaustive`]); when the disjunct is exactly the goal's
+//!    negation, a point found certifies [`Verdict::Refuted`].
 //!
 //! Every incompleteness fails *safe*: if the solver cannot refute the
 //! negation it reports [`Verdict::Refuted`] or [`Verdict::Unknown`] and the

@@ -22,13 +22,16 @@ use dml_index::{IExp, Linear, NonLinear, Prop, Var, VarGen};
 use std::collections::HashMap;
 
 /// Lowering context: a fresh-variable supply plus accumulated side
-/// constraints and a memo table so repeated subterms share variables.
+/// constraints and a memo table so repeated non-linear subterms share
+/// variables.
 #[derive(Debug)]
 pub struct Lowering<'g> {
     gen: &'g mut VarGen,
     /// Defining side constraints for the fresh variables (pure props; may
     /// contain disjunctions for `min`/`max`/`abs`/`sgn`).
     sides: Vec<Prop>,
+    /// Lowered forms of the composite subterms that contain a non-linear
+    /// operator — the only subterms that introduce fresh variables.
     memo: HashMap<IExp, Linear>,
     /// Fresh variables introduced (for diagnostics/statistics).
     introduced: Vec<Var>,
@@ -55,7 +58,9 @@ impl<'g> Lowering<'g> {
         self.introduced.len()
     }
 
-    /// Number of memoized composite subterms (leaves are never memoized).
+    /// Number of memoized subterms. Only composite subterms containing
+    /// `div`, `mod`, `min`, `max`, `abs` or `sgn` are memoized: purely
+    /// linear subterms introduce no fresh variables, so they are rebuilt.
     pub fn memo_count(&self) -> usize {
         self.memo.len()
     }
@@ -74,19 +79,17 @@ impl<'g> Lowering<'g> {
     /// Returns [`NonLinear`] for products of non-constants and for
     /// `div`/`mod` with a divisor that is not a positive constant.
     pub fn lower(&mut self, e: &IExp) -> Result<Linear, NonLinear> {
-        // Leaves are cheaper to rebuild than to hash: memoizing them would
-        // clone every `Var`/`Lit` key into the table on the hot path for no
-        // sharing benefit (they introduce no fresh variables).
-        match e {
-            IExp::Var(v) => return Ok(Linear::var(v.clone())),
-            IExp::Lit(n) => return Ok(Linear::constant(*n)),
-            _ => {}
+        // A purely linear subterm introduces no fresh variables, so there is
+        // nothing to share: rebuilding it is cheaper than hashing it and
+        // cloning it into the memo.
+        if is_linear(e) {
+            return Linear::from_iexp(e);
         }
         if let Some(l) = self.memo.get(e) {
             return Ok(l.clone());
         }
         let result = match e {
-            IExp::Var(_) | IExp::Lit(_) => unreachable!("leaves handled above"),
+            IExp::Var(_) | IExp::Lit(_) => unreachable!("leaves are linear"),
             IExp::Add(a, b) => self.lower(a)?.add(&self.lower(b)?),
             IExp::Sub(a, b) => self.lower(a)?.sub(&self.lower(b)?),
             IExp::Mul(a, b) => {
@@ -205,6 +208,21 @@ impl<'g> Lowering<'g> {
     }
 }
 
+/// `true` if `e` has none of the operators lowering replaces (it may
+/// still multiply two variables, which [`Linear::from_iexp`] rejects).
+fn is_linear(e: &IExp) -> bool {
+    match e {
+        IExp::Var(_) | IExp::Lit(_) => true,
+        IExp::Add(a, b) | IExp::Sub(a, b) | IExp::Mul(a, b) => is_linear(a) && is_linear(b),
+        IExp::Div(..)
+        | IExp::Mod(..)
+        | IExp::Min(..)
+        | IExp::Max(..)
+        | IExp::Abs(_)
+        | IExp::Sgn(_) => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +283,28 @@ mod tests {
         // Exactly the composite subterms are memoized — the shared `div`
         // and the enclosing `+`; the `a`/`2` leaves stay out of the table.
         assert_eq!(lo.memo_count(), 2);
+    }
+
+    /// Purely linear atoms leave the memo empty, errors included;
+    /// composites around a non-linear operator are memoized, linear parts
+    /// beside it are not.
+    #[test]
+    fn lower_memoizes_only_nonlinear_subterms() {
+        let mut g = VarGen::new();
+        let a = g.fresh("a");
+        let b = g.fresh("b");
+        let mut lo = Lowering::new(&mut g);
+        let lin = IExp::lit(2) * IExp::var(a.clone()) + IExp::var(b.clone()) - IExp::lit(1);
+        let p = Prop::lt(lin.clone(), IExp::var(b.clone()) + IExp::lit(3));
+        lo.lower_prop(&p).unwrap();
+        let bad = IExp::var(a.clone()) * (IExp::var(b) + IExp::lit(1));
+        assert_eq!(lo.lower(&bad), Linear::from_iexp(&bad));
+        assert!(lo.lower(&bad).is_err());
+        assert_eq!((lo.memo_count(), lo.fresh_count()), (0, 0));
+        // (lin + a div 2) ≤ lin: the `div` and the `+` above it.
+        let d = IExp::var(a).div(IExp::lit(2));
+        lo.lower_prop(&Prop::le(lin.clone() + d, lin)).unwrap();
+        assert_eq!((lo.memo_count(), lo.fresh_count()), (2, 2));
     }
 
     #[test]

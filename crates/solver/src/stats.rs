@@ -5,21 +5,28 @@ use dml_obs::TimingHistogram;
 use std::fmt;
 use std::time::Duration;
 
-/// Per-phase latency histograms for goal solving.
+/// Per-phase latency histograms for goal solving, one sample per goal that
+/// reaches the phase. Each histogram also sums its samples
+/// ([`TimingHistogram::total`]), so a phase's share of decide time can be
+/// read off.
 ///
-/// Recording is always on (two comparisons and an increment per phase), but
-/// histograms are only *rendered* on request (`dmlc table 1 --timings`), so
-/// default output stays byte-identical whether or not anyone looks.
+/// Recording is always on (a few comparisons and an addition per phase),
+/// but histograms are only *rendered* on request (`dmlc table 1
+/// --timings`), so default output stays byte-identical whether or not
+/// anyone looks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Whole-goal decide latency, fast paths and cache hits included.
     pub goal: TimingHistogram,
-    /// Non-linear lowering (per goal reaching that phase).
+    /// NNF, `<>` expansion and non-linear lowering of the hypotheses and
+    /// the negated conclusion.
     pub lowering: TimingHistogram,
-    /// NNF + DNF expansion into disjunct systems.
+    /// DNF expansion, plus building each disjunct system the elimination
+    /// loop reaches (systems are built one at a time, on demand).
     pub dnf: TimingHistogram,
-    /// Fourier–Motzkin elimination across a goal's disjunct systems
-    /// (includes any witness search, which is also recorded separately).
+    /// Fourier–Motzkin elimination across a goal's disjunct systems,
+    /// without the time spent building them; includes the Omega fallback
+    /// and any witness search, which is also recorded separately.
     pub elimination: TimingHistogram,
     /// Bounded exhaustive counterexample search on refutation candidates.
     pub witness_search: TimingHistogram,
