@@ -153,21 +153,6 @@ mod tests {
         assert!(find_solution(&s, 4).is_none());
     }
 
-    /// The first variable varies slowest; a row over a later variable
-    /// alone is checked as soon as that variable is assigned.
-    #[test]
-    fn order_is_lexicographic_in_variable_ids() {
-        let mut g = VarGen::new();
-        let x = g.fresh("x");
-        let y = g.fresh("y");
-        let mut s = System::new();
-        // x + y ≥ 3, y ≤ 1.
-        s.push(Ineq::le(Linear::constant(3), Linear::var(x.clone()).add(&Linear::var(y.clone()))));
-        s.push(Ineq::le(Linear::var(y.clone()), Linear::constant(1)));
-        let w = find_solution(&s, 8).unwrap();
-        assert_eq!((w[&x], w[&y]), (2, 1));
-    }
-
     /// A point at which a row overflows `i64` is rejected, as
     /// `Linear::eval` rejects it.
     #[test]

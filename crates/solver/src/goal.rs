@@ -512,7 +512,7 @@ impl Solver {
         // DNF time is the expansion plus building each system the loop
         // reaches; building is timed inside the loop and taken out of the
         // elimination time.
-        let mut dnf_time = t_dnf.elapsed();
+        let expand_time = t_dnf.elapsed();
         if let Some(t) = tr.as_deref_mut() {
             t.push(TraceEvent::Dnf { disjuncts: dnf.len() });
         }
@@ -603,8 +603,7 @@ impl Solver {
             }
             Verdict::Proven
         };
-        dnf_time += build_time;
-        stats.phase_times.dnf.record(dnf_time);
+        stats.phase_times.dnf.record(expand_time + build_time);
         stats.phase_times.elimination.record(t_elim.elapsed().saturating_sub(build_time));
         verdict
     }
@@ -1394,8 +1393,8 @@ mod tests {
                 assert!(!tr.events.iter().any(|e| matches!(e, TraceEvent::Dnf { .. })));
             }
         }
-        // One hypothesis fewer fits: 2^8 · 1 = 256 disjuncts, all refuted
-        // or not, but expanded.
+        // With one hypothesis fewer the expansion fits (2^8 = 256
+        // disjuncts) and elimination runs.
         let mut fits = goal.clone();
         fits.hyps.pop();
         let mut stats = SolverStats::default();
