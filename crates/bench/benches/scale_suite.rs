@@ -11,15 +11,15 @@
 //! expected verdict counts that are asserted here — a throughput number
 //! from a miscompiled corpus would be worthless):
 //!
-//! * `cold_jobs1` — fresh session solver, cleared gen memo, sequential.
+//! * `cold_jobs1` — fresh session solver, sequential.
 //!   Measured file-by-file, which also yields the cumulative cache
 //!   hit-rate *trajectory*: cross-file goal sharing ramps the session
 //!   hit rate up as the batch proceeds.
 //! * `cold_jobs_auto` — fresh session, same corpus fanned across one
 //!   worker thread per core via `dml::check_batch`.
-//! * `warm_shared` — the same session re-checks the whole corpus: gen
-//!   memo hot, every cacheable goal served from the session cache. The
-//!   steady state of a `dmlc serve` check farm.
+//! * `warm_shared` — a second `check_batch` on the same (warm) handle:
+//!   the goal cache is hot, so every cacheable goal is served from it,
+//!   but generation is redone for every file.
 //! * `disk_cold_session` — a *fresh* session whose goal cache starts
 //!   empty but has the persistent disk store attached (pre-populated by
 //!   a flushed priming session): every canonical goal is served from
@@ -182,7 +182,6 @@ fn run_size(target: usize, iters: usize, auto_jobs: usize, rss_reset: bool) -> S
     // the corpus doubles as a correctness oracle.
     let mut best_cold = None::<(Duration, usize, u64, u64, Vec<f64>)>;
     for iter in 0..iters {
-        dml::clear_gen_memo();
         let compiler = Compiler::new();
         let cache = compiler.solver().cache();
         let mut trajectory = Vec::with_capacity(corpus.cases.len());
@@ -220,11 +219,10 @@ fn run_size(target: usize, iters: usize, auto_jobs: usize, rss_reset: bool) -> S
     };
 
     // cold_jobs_auto + warm_shared share one session: the second batch
-    // over the same handle is the warm steady state.
+    // over the same handle finds every goal in the cache it warmed.
     let mut cold_auto = None::<ConfigRow>;
     let mut warm = None::<ConfigRow>;
     for _ in 0..iters {
-        dml::clear_gen_memo();
         let compiler = Compiler::new();
         if rss_reset {
             rss::reset_peak();
@@ -285,7 +283,6 @@ fn run_size(target: usize, iters: usize, auto_jobs: usize, rss_reset: bool) -> S
     }
     let mut disk = None::<ConfigRow>;
     for _ in 0..iters {
-        dml::clear_gen_memo();
         let compiler = Compiler::new().disk_cache(&store);
         if rss_reset {
             rss::reset_peak();

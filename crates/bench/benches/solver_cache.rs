@@ -14,10 +14,10 @@
 //!   5% slower (the parallel plumbing must cost nothing).
 //!
 //! "Cold" compiles each benchmark with a fresh solver (empty verdict
-//! cache) *and* a cleared gen-phase memo, so it measures a genuinely cold
-//! compile; "warm" compiles against a solver that already solved the same
-//! program with the gen memo populated, so elaboration is hash-consed and
-//! every cacheable goal is answered from the verdict cache. The solver's
+//! cache), so it measures a genuinely cold compile; "warm" compiles
+//! against a solver that already solved the same program, so every
+//! cacheable goal is answered from the verdict cache (generation runs in
+//! full either way, so only the cold generation time is reported). The solver's
 //! persistent worker pool is prewarmed up front — its one-time thread
 //! spawn is process state, not per-compile cost (`pool_helpers` in the
 //! report records the helper count). The lint section runs the lint pass
@@ -56,7 +56,6 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut total_gen_cold = Duration::ZERO;
-    let mut total_gen_warm = Duration::ZERO;
     let mut total_cold = Duration::ZERO;
     let mut total_warm = Duration::ZERO;
 
@@ -64,11 +63,9 @@ fn main() {
         let name = b.program.name;
         let src = bench_source(&b.program);
 
-        // Cold: fresh solver (empty verdict cache) and cleared gen memo
-        // every compile.
+        // Cold: fresh solver (empty verdict cache) every compile.
         let mut cold = None::<dml::CompileStats>;
         bench_timed("solver_cache", &format!("{name}/cold"), warmup, iters, || {
-            dml::clear_gen_memo();
             let c = Compiler::new().compile(&src).expect("compiles");
             let s = c.stats().clone();
             if cold.as_ref().is_none_or(|best| s.solve_time < best.solve_time) {
@@ -77,8 +74,7 @@ fn main() {
         });
         let cold = cold.expect("at least one cold run");
 
-        // Warm: a shared solver primed by one untimed compile (which also
-        // re-populates the gen memo for this source).
+        // Warm: a shared solver primed by one untimed compile.
         let shared = Solver::new(SolverOptions::default());
         Compiler::new().with_solver(&shared).compile(&src).expect("compiles");
         let mut warm = None::<dml::CompileStats>;
@@ -92,7 +88,6 @@ fn main() {
         let warm = warm.expect("at least one warm run");
 
         total_gen_cold += cold.generation_time;
-        total_gen_warm += warm.generation_time;
         total_cold += cold.solve_time;
         total_warm += warm.solve_time;
         let looked_up = warm.solver.cache_hits + warm.solver.cache_misses;
@@ -103,7 +98,6 @@ fn main() {
             ("constraints", Json::Int(cold.constraints as i64)),
             ("goals", Json::Int(cold.goals as i64)),
             ("gen_ms", Json::Num(ms(cold.generation_time))),
-            ("gen_warm_ms", Json::Num(ms(warm.generation_time))),
             ("solve_cold_ms", Json::Num(ms(cold.solve_time))),
             ("solve_warm_ms", Json::Num(ms(warm.solve_time))),
             ("fm_combinations", Json::Int(cold.solver.fm_combinations as i64)),
@@ -204,8 +198,7 @@ fn main() {
     // Daemon: a fresh `dmlc check` process per compile (cold) vs one warm
     // `dmlc serve` answering the same checks over its wire protocol. This
     // is the number `dmlc serve` exists for: the daemon amortises process
-    // startup, the goal cache, the gen memo, and per-file incremental
-    // state across requests.
+    // startup, the goal cache, and per-file state across requests.
     let daemon = match find_dmlc() {
         Some(dmlc) => bench_daemon(&dmlc, warmup, iters),
         None => {
@@ -219,10 +212,8 @@ fn main() {
 
     let warm_strictly_faster = total_warm < total_cold;
     println!(
-        "solver_cache/totals: gen cold {:.3} ms (warm {:.3} ms), \
-         solve cold {:.3} ms, solve warm {:.3} ms ({})",
+        "solver_cache/totals: gen {:.3} ms, solve cold {:.3} ms, solve warm {:.3} ms ({})",
         ms(total_gen_cold),
-        ms(total_gen_warm),
         ms(total_cold),
         ms(total_warm),
         if warm_strictly_faster { "warm < cold" } else { "WARM NOT FASTER" }
@@ -239,7 +230,6 @@ fn main() {
                 "totals",
                 obj([
                     ("gen_ms", Json::Num(ms(total_gen_cold))),
-                    ("gen_warm_ms", Json::Num(ms(total_gen_warm))),
                     ("solve_cold_ms", Json::Num(ms(total_cold))),
                     ("solve_warm_ms", Json::Num(ms(total_warm))),
                     ("warm_strictly_faster", Json::Bool(warm_strictly_faster)),
@@ -289,8 +279,9 @@ fn find_dmlc() -> Option<std::path::PathBuf> {
 /// Cold process-per-check vs warm-daemon wall times over the paper suite.
 /// "Cold" spawns a fresh `dmlc check` per compile; "warm" drives one
 /// `dmlc serve` daemon over stdio, after a priming round, so requests land
-/// on a hot goal cache, gen memo, worker pool, and per-file incremental
-/// state. Both sides include full request round-trip time.
+/// on a hot goal cache, worker pool, and per-file state: each re-check of
+/// an unchanged file replays its last report. Both sides include full
+/// request round-trip time.
 fn bench_daemon(dmlc: &std::path::Path, warmup: usize, iters: usize) -> Json {
     use dml::serve::protocol::request_line;
     use std::io::{BufRead as _, BufReader, Write as _};

@@ -611,8 +611,9 @@ fn fuzz(args: &[String]) -> ExitCode {
 
 /// `dmlc serve [--socket PATH]` — runs the persistent check service over
 /// stdio (the default) or a Unix socket, holding one warm compiler session
-/// — goal cache, gen memo, worker pool, optional `--disk-cache` store —
-/// across every request. Protocol: `docs/PROTOCOL.md`.
+/// — goal cache, worker pool, optional `--disk-cache` store, per-file
+/// state that replays byte-identical re-checks — across every request.
+/// Protocol: `docs/PROTOCOL.md`.
 fn serve_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
     let mut socket: Option<String> = None;
     let mut rest = args[1..].iter();

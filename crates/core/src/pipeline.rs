@@ -27,16 +27,15 @@ use dml_analysis::Finding;
 use dml_elab::{elaborate, ElabOutput, Obligation, ResidualCheck, SiteContext};
 use dml_eval::{CheckConfig, Machine, Mode};
 use dml_index::VarGen;
-use dml_solver::{prove_all, Outcome, Solver, SolverOptions, Verdict};
+use dml_solver::{prove_all, Solver, SolverOptions, Verdict};
 use dml_syntax::ast as sast;
 use dml_syntax::Span;
-use dml_types::builtins::{base_env, check_kind};
+use dml_types::builtins::program_env;
 use dml_types::env::Env;
 use dml_types::infer::infer_program;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// A hard front-end failure (parse, environment, phase-1, phase-2), or —
@@ -87,7 +86,7 @@ pub struct CompileStats {
     pub constraints: usize,
     /// Solver goals examined (obligations split into atomic sequents).
     pub goals: usize,
-    /// Time spent generating constraints (parse + phase 1 + phase 2).
+    /// Time spent generating constraints (environment + phase 1 + phase 2).
     pub generation_time: Duration,
     /// Time spent solving constraints.
     pub solve_time: Duration,
@@ -526,19 +525,21 @@ impl Compiler {
     /// and, in strict mode, [`PipelineError::Unproven`] when any
     /// obligation is left unproven.
     pub fn compile(&self, src: &str) -> Result<Compiled, PipelineError> {
-        self.compile_incremental(src, None)
+        let program = dml_syntax::parse_program(src).map_err(PipelineError::Parse)?;
+        self.compile_program(program, None)
     }
 
-    /// [`Compiler::compile`] with an optional verdict-reuse plan from the
-    /// incremental session layer (`serve`): obligations bucketed to
-    /// declarations the plan marks unchanged take their previous verdicts
-    /// without touching the solver. Callers are responsible for the plan's
-    /// soundness preconditions (environment signature unchanged, decl text
-    /// unchanged — see [`crate::serve::incremental`]); a per-bucket
-    /// obligation-count mismatch falls back to solving that bucket.
-    pub(crate) fn compile_incremental(
+    /// [`Compiler::compile`] from an already-parsed program, with an
+    /// optional verdict-reuse plan from the incremental session layer
+    /// (`serve`): obligations bucketed to declarations the plan marks
+    /// unchanged take their previous verdicts without touching the solver.
+    /// Callers are responsible for the plan's soundness preconditions
+    /// (environment signature unchanged, decl text unchanged — see
+    /// [`crate::serve::incremental`]); a per-bucket obligation-count
+    /// mismatch falls back to solving that bucket.
+    pub(crate) fn compile_program(
         &self,
-        src: &str,
+        program: sast::Program,
         reuse: Option<&ReusePlan>,
     ) -> Result<Compiled, PipelineError> {
         // The session solver is created once per handle; applying the
@@ -548,26 +549,19 @@ impl Compiler {
         // Trace mode re-decides every goal for complete event stories;
         // verdict reuse would leave reused obligations storyless.
         let reuse = if self.options.trace || self.infer { None } else { reuse };
-        let program = dml_syntax::parse_program(src).map_err(PipelineError::Parse)?;
-        // The gen memo key is the source text alone: generation is
-        // deterministic per source. Inference rewrites the AST based on
-        // solver verdicts, so inferred compiles opt out.
-        let (program, infer_report, memo_key) = if self.infer {
+        let (program, infer_report) = if self.infer {
             match dml_infer::infer_refinements(&program, &solver) {
-                Ok(out) => (out.refined, Some(out.report), None),
+                Ok(out) => (out.refined, Some(out.report)),
                 // A baseline that fails phase 1 or elaboration falls
                 // through to the pipeline proper, which reports the
                 // real error with its span.
-                Err(_) => (program, None, None),
+                Err(_) => (program, None),
             }
         } else {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            src.hash(&mut h);
-            (program, None, Some(h.finish()))
+            (program, None)
         };
-        let mut compiled = run_pipeline_ast(program, &solver, memo_key, reuse)?;
+        let mut compiled = run_pipeline_ast(program, &solver, reuse)?;
         compiled.infer_report = infer_report;
-        let compiled = compiled;
         if self.strict && !compiled.fully_verified() {
             let mut unproven: Vec<(Obligation, Verdict)> = compiled
                 .obligations
@@ -609,112 +603,11 @@ pub(crate) fn bucket_of(decl_starts: &[usize], site_start: usize) -> usize {
     decl_starts.partition_point(|&s| s <= site_start).saturating_sub(1)
 }
 
-/// Collapses an outcome into the single verdict recorded per obligation:
-/// `Proven` when every goal was proven (in particular when the constraint
-/// split into no goals at all); otherwise `Refuted` if *any* goal was
-/// refuted (a counterexample trumps mere uncertainty), else the first
-/// `Unknown`.
-fn collapse_verdicts(outcome: &Outcome) -> Verdict {
-    let mut collapsed = Verdict::Proven;
-    for (_, r) in &outcome.results {
-        match r {
-            Verdict::Proven => {}
-            Verdict::Refuted => return Verdict::Refuted,
-            other => {
-                if collapsed.is_proven() {
-                    collapsed = other.clone();
-                }
-            }
-        }
-    }
-    collapsed
-}
-
-/// Output of the generation phase (env → phase 1 → phase 2): everything
-/// the solve phase and the final [`Compiled`] need, with no reference to
-/// solver state. Cloneable so the gen-phase memo can hand out copies.
-#[derive(Debug, Clone)]
-struct GenArtifacts {
-    program: sast::Program,
-    env: Env,
-    obligations: Vec<Obligation>,
-    top_level: HashMap<String, dml_types::ty::Scheme>,
-    gen: VarGen,
-    contexts: Vec<SiteContext>,
-}
-
-/// The generation phase proper: env declarations → phase-1 ML inference →
-/// phase-2 dependent elaboration. Deterministic in `program` alone (the
-/// variable supply always starts at zero), which is what makes the memo
-/// below sound.
-fn gen_phase(program: sast::Program) -> Result<GenArtifacts, PipelineError> {
-    let mut gen = VarGen::new();
-    let mut env = base_env(&mut gen);
-    for d in &program.decls {
-        match d {
-            sast::Decl::Datatype(dd) => {
-                env.add_datatype(dd, &mut gen).map_err(|e| PipelineError::Env(e.message, e.span))?
-            }
-            sast::Decl::Typeref(tr) => {
-                env.add_typeref(tr, &mut gen).map_err(|e| PipelineError::Env(e.message, e.span))?
-            }
-            sast::Decl::Assert(sigs) => env
-                .add_assert(sigs, &check_kind, &mut gen)
-                .map_err(|e| PipelineError::Env(e.message, e.span))?,
-            _ => {}
-        }
-    }
-    let phase1 =
-        infer_program(&program, &env).map_err(|e| PipelineError::Infer(e.message, e.span))?;
-    let ElabOutput { obligations, top_level, gen, contexts } =
-        elaborate(&program, &env, &phase1, gen)
-            .map_err(|e| PipelineError::Elab(e.message, e.span))?;
-    Ok(GenArtifacts { program, env, obligations, top_level, gen, contexts })
-}
-
-/// Entries kept in the gen-phase memo before it is cleared. Programs are
-/// small (the seed suite is 8), so this is a safety valve against
-/// unbounded growth in fuzzing/batch sessions, not a tuned cache policy.
-const GEN_MEMO_CAP: usize = 64;
-
-/// Process-wide memo for the generation phase, keyed by source hash.
-///
-/// Elaboration is pure and deterministic per source text (see
-/// [`gen_phase`]), so constraint generation is hash-consed the same way
-/// solved goals are memoized in the verdict cache: a recompile of the same
-/// program clones the artifacts instead of re-elaborating. This is what
-/// makes warm recompiles (compile services, the warm half of the bench
-/// suite, repeated `dmlc` invocations in one process) pay only for
-/// solving. Cold compiles are unaffected — a fresh process starts with an
-/// empty memo.
-static GEN_MEMO: OnceLock<Mutex<HashMap<u64, Arc<GenArtifacts>>>> = OnceLock::new();
-
-/// Empties the process-wide gen-phase memo. Benchmarks call this between
-/// cold-compile iterations so "cold" keeps meaning *no* warm state — not
-/// an empty verdict cache in front of memoized elaboration.
-pub fn clear_gen_memo() {
-    if let Some(memo) = GEN_MEMO.get() {
-        memo.lock().expect("gen memo poisoned").clear();
-    }
-}
-
-fn gen_phase_memoized(
-    program: sast::Program,
-    memo_key: Option<u64>,
-) -> Result<GenArtifacts, PipelineError> {
-    let Some(key) = memo_key else { return gen_phase(program) };
-    let memo = GEN_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = memo.lock().expect("gen memo poisoned").get(&key) {
-        return Ok(GenArtifacts::clone(hit));
-    }
-    let artifacts = gen_phase(program)?;
-    let mut memo = memo.lock().expect("gen memo poisoned");
-    if memo.len() >= GEN_MEMO_CAP {
-        memo.clear();
-    }
-    memo.insert(key, Arc::new(artifacts.clone()));
-    Ok(artifacts)
-}
+/// Does nothing. Constraint generation used to be memoized process-wide
+/// and this cleared the memo; no such state exists any more (every
+/// [`Compiler::compile`] generates from scratch), and the function stays
+/// only so callers written against the old API keep building.
+pub fn clear_gen_memo() {}
 
 /// The pipeline proper: env → phase 1 → phase 2 → solve → check
 /// elimination, from an already-parsed (possibly refined) AST.
@@ -723,19 +616,20 @@ fn gen_phase_memoized(
 /// span identical to the original program, so check sites, proven-site
 /// sets and the evaluator's span-keyed check elimination stay consistent
 /// when `dml-infer` attaches annotations.
-///
-/// `memo_key` (a hash of the source text) opts the generation phase into
-/// the process-wide memo; pass `None` when the AST did not come verbatim
-/// from source (e.g. after inference attaches annotations).
 fn run_pipeline_ast(
     program: sast::Program,
     solver: &Solver,
-    memo_key: Option<u64>,
     reuse: Option<&ReusePlan>,
 ) -> Result<Compiled, PipelineError> {
     let gen_start = Instant::now();
-    let GenArtifacts { program, env, obligations, top_level, gen, contexts } =
-        gen_phase_memoized(program, memo_key)?;
+    let mut gen = VarGen::new();
+    let env = program_env(&program, &mut gen).map_err(|e| PipelineError::Env(e.message, e.span))?;
+    let phase1 =
+        infer_program(&program, &env).map_err(|e| PipelineError::Infer(e.message, e.span))?;
+    let ElabOutput { obligations, top_level, gen, contexts } =
+        elaborate(&program, &env, &phase1, gen)
+            .map_err(|e| PipelineError::Elab(e.message, e.span))?;
+    drop(phase1);
     let generation_time = gen_start.elapsed();
 
     // Incremental reuse: bucket obligations to declarations and take the
@@ -797,7 +691,7 @@ fn run_pipeline_ast(
         let outcome = outcomes.next().expect("one outcome per solved obligation");
         goals += outcome.results.len();
         solver_stats.merge(&outcome.stats);
-        let verdict = collapse_verdicts(&outcome);
+        let verdict = outcome.verdict();
         if tracing {
             let records = outcome
                 .results
@@ -1068,51 +962,6 @@ where total <| {n:nat} int array(n) -> int
         assert!(c.fully_verified());
         let lints = c.lints();
         assert!(lints.is_empty(), "{lints:?}");
-    }
-
-    /// `collapse_verdicts` is total: an outcome with no goals (or
-    /// all-proven goals) collapses to `Proven` instead of panicking;
-    /// `Refuted` trumps `Unknown`; otherwise the first `Unknown` wins.
-    #[test]
-    fn collapse_verdicts_is_total_and_orders_refuted_first() {
-        use dml_index::UnknownReason;
-        use dml_solver::SolverStats;
-        let empty = Outcome { results: vec![], traces: vec![], stats: SolverStats::default() };
-        assert_eq!(collapse_verdicts(&empty), Verdict::Proven);
-
-        let goal = dml_solver::Goal {
-            ctx: vec![],
-            hyps: vec![],
-            concl: dml_index::Prop::True,
-            residual_existential: false,
-        };
-        let all_proven = Outcome {
-            results: vec![(goal.clone(), Verdict::Proven)],
-            traces: vec![],
-            stats: SolverStats::default(),
-        };
-        assert_eq!(collapse_verdicts(&all_proven), Verdict::Proven);
-
-        let mixed = Outcome {
-            results: vec![
-                (goal.clone(), Verdict::Proven),
-                (goal.clone(), Verdict::Unknown(UnknownReason::Blowup)),
-                (goal.clone(), Verdict::Unknown(UnknownReason::PossiblyFalsifiable)),
-            ],
-            traces: vec![],
-            stats: SolverStats::default(),
-        };
-        assert_eq!(collapse_verdicts(&mixed), Verdict::Unknown(UnknownReason::Blowup));
-
-        let refuted_late = Outcome {
-            results: vec![
-                (goal.clone(), Verdict::Unknown(UnknownReason::Blowup)),
-                (goal, Verdict::Refuted),
-            ],
-            traces: vec![],
-            stats: SolverStats::default(),
-        };
-        assert_eq!(collapse_verdicts(&refuted_late), Verdict::Refuted);
     }
 
     /// Compiling twice against one solver shares the verdict cache: the

@@ -2,12 +2,14 @@
 //! `dmlc serve` daemon.
 //!
 //! Both paths render through [`check_report`], so their verdict lines are
-//! byte-identical by construction — the ISSUE-8 determinism contract. The
-//! first two lines (timing, cache counters) are the only run-dependent
-//! content; consumers that diff reports strip lines starting with the
+//! byte-identical by construction: the daemon's determinism contract. The
+//! header renders from a compile's statistics and the body from the
+//! compiled program, so the daemon can replay a stored body under a fresh
+//! header. The timing and cache lines are the only run-dependent content;
+//! consumers that diff reports strip lines starting with the
 //! [`VOLATILE_PREFIXES`].
 
-use crate::pipeline::Compiled;
+use crate::pipeline::{CompileStats, Compiled};
 use dml_elab::ObKind;
 use std::fmt::Write as _;
 
@@ -27,12 +29,24 @@ pub struct CheckReport {
     pub ok: bool,
 }
 
-/// Renders the standard `check` report for a compiled program: timing and
-/// cache lines (volatile), proven/unproven site counts, exhaustiveness
-/// warnings, and either the fully-verified line or the residual-check
-/// listing (deterministic).
+/// Renders the standard `check` report for a compiled program: three
+/// header lines from its statistics (constraint count, then the volatile
+/// timing and cache lines), followed by the deterministic body.
 pub fn check_report(compiled: &Compiled, src: &str) -> CheckReport {
-    let stats = compiled.stats();
+    report_body(compiled, src).with_header(compiled.stats())
+}
+
+impl CheckReport {
+    /// This report body (see [`report_body`]) under the header lines of
+    /// `stats`.
+    pub(crate) fn with_header(&self, stats: &CompileStats) -> CheckReport {
+        CheckReport { text: report_header(stats) + &self.text, ok: self.ok }
+    }
+}
+
+/// The report's three header lines, rendered from a compile's statistics
+/// alone: the constraint count, then the volatile timing and cache lines.
+fn report_header(stats: &CompileStats) -> String {
     let mut text = String::new();
     let _ = writeln!(text, "{} constraints generated", stats.constraints);
     // Goals and reuse counts are volatile alongside the wall times: an
@@ -58,6 +72,14 @@ pub fn check_report(compiled: &Compiled, src: &str) -> CheckReport {
             String::new()
         },
     );
+    text
+}
+
+/// Everything below the header, deterministic per source and solver
+/// budget: proven/unproven site counts, exhaustiveness warnings, and
+/// either the fully-verified line or the residual-check listing.
+pub(crate) fn report_body(compiled: &Compiled, src: &str) -> CheckReport {
+    let mut text = String::new();
     let _ = writeln!(
         text,
         "proven check sites: {}; unproven: {}",

@@ -1,14 +1,15 @@
 //! The persistent check service behind `dmlc serve`.
 //!
 //! One [`Session`] wraps one reusable [`crate::Compiler`] handle and
-//! serves many requests, so the canonical goal cache, the gen-phase memo,
-//! and the solver worker pool warm up once and stay warm. The service
-//! speaks a versioned, line-delimited JSON protocol ([`protocol`],
-//! documented in `docs/PROTOCOL.md`) over stdio ([`server::serve_stdio`])
-//! or a Unix socket ([`server::serve_unix`]); per-file declaration
-//! fingerprints (the private `incremental` module) let re-checks of
-//! edited files re-solve
-//! only the declarations that changed.
+//! serves many requests, so the canonical goal cache and the solver
+//! worker pool warm up once and stay warm. The service speaks a
+//! versioned, line-delimited JSON protocol ([`protocol`], documented in
+//! `docs/PROTOCOL.md`) over stdio ([`server::serve_stdio`]) or a Unix
+//! socket ([`server::serve_unix`]). Per-file state (the private
+//! `incremental` module) answers re-checks: a byte-identical re-check of
+//! a path replays its last report with no generation or solving, and a
+//! re-check of an edited file re-solves only the declarations that
+//! changed.
 //!
 //! Determinism contract: verdict output is byte-identical between one-shot
 //! `dmlc check` and the daemon path — both render through

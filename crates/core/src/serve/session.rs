@@ -1,14 +1,17 @@
 //! The long-lived check session behind `dmlc serve`.
 //!
 //! A [`Session`] owns one reusable [`Compiler`] handle — one canonical
-//! goal cache (optionally disk-backed), one gen-phase memo, one worker
-//! pool — plus per-file incremental state and per-request statistics. The
+//! goal cache (optionally disk-backed), one worker pool — plus per-file
+//! state and per-request statistics. A file's state is its last
+//! successful check: the source text and rendered report body, replayed
+//! when the same path is re-checked byte for byte, and its verdicts by
+//! declaration, reused when it is re-checked after an edit. The
 //! transport layer ([`crate::serve::server`]) is a thin loop over it, and
 //! it can just as well be embedded in-process (tests and benches do).
 
 use super::incremental::{self, FileState};
 use crate::pipeline::{Compiled, Compiler, PipelineError};
-use crate::report::{check_report, CheckReport};
+use crate::report::{report_body, CheckReport};
 use dml_obs::json::{obj, Json};
 use dml_obs::TimingHistogram;
 use std::collections::HashMap;
@@ -22,7 +25,8 @@ pub struct CheckOutcome {
     pub report: CheckReport,
     /// Whether the program fully verified.
     pub fully_verified: bool,
-    /// Whether any verdicts were reused from the file's previous check.
+    /// Whether any verdicts were reused from the file's previous check
+    /// (always, when the check replayed it).
     pub incremental: bool,
     /// The compile's statistics (including `obligations_reused` and the
     /// solver cache counters for this request alone).
@@ -68,9 +72,10 @@ impl Session {
         &self.compiler
     }
 
-    /// Checks `src`. With a `path`, the session remembers the file's
-    /// declaration fingerprint and on later checks re-solves only changed
-    /// declarations (see `serve/incremental.rs`); verdicts are identical
+    /// Checks `src`. With a `path`, the session remembers the file's last
+    /// successful check: a byte-identical re-check replays its report, and
+    /// an edited one re-solves only changed declarations (see
+    /// `serve/incremental.rs`). Verdicts and report bodies are identical
     /// to a from-scratch check either way.
     ///
     /// # Errors
@@ -82,35 +87,43 @@ impl Session {
     pub fn check(&mut self, path: Option<&str>, src: &str) -> Result<CheckOutcome, String> {
         let t0 = Instant::now();
         *self.stats.requests.entry("check").or_insert(0) += 1;
-
-        let fingerprint = match dml_syntax::parse_program(src) {
-            Ok(program) => Some(incremental::fingerprint(src, &program)),
-            // Let the pipeline produce the canonical parse error below.
-            Err(_) => None,
-        };
-        let plan = match (path, &fingerprint) {
-            (Some(p), Some(fp)) => self.files.get(p).and_then(|prior| incremental::plan(fp, prior)),
-            _ => None,
-        };
-        let compiled = match self.compiler.compile_incremental(src, plan.as_ref()) {
-            Ok(c) => c,
-            Err(e) => {
+        let replayed = path.and_then(|p| self.files.get(p)).and_then(|prior| prior.replay(src));
+        let outcome = match replayed {
+            Some(outcome) => outcome,
+            None => self.compile_check(path, src).map_err(|e| {
                 if let Some(p) = path {
                     self.files.remove(p);
                 }
-                return Err(e.to_string());
-            }
+                e.to_string()
+            })?,
         };
-        if let (Some(p), Some(fp)) = (path, &fingerprint) {
-            self.files.insert(p.to_string(), incremental::remember(fp, compiled.obligations()));
-        }
+        self.stats.check_latency.record(t0.elapsed());
+        Ok(outcome)
+    }
+
+    /// Parses `src` once, compiles it with the reuse plan of the file's
+    /// previous state, and remembers the new state.
+    fn compile_check(
+        &mut self,
+        path: Option<&str>,
+        src: &str,
+    ) -> Result<CheckOutcome, PipelineError> {
+        let program = dml_syntax::parse_program(src).map_err(PipelineError::Parse)?;
+        let fingerprint = path.map(|_| incremental::fingerprint(src, &program));
+        let prior = path.and_then(|p| self.files.get(p));
+        let plan =
+            fingerprint.as_ref().zip(prior).and_then(|(fp, prior)| incremental::plan(fp, prior));
+        let compiled = self.compiler.compile_program(program, plan.as_ref())?;
+        let body = report_body(&compiled, src);
         let outcome = CheckOutcome {
-            report: check_report(&compiled, src),
+            report: body.with_header(compiled.stats()),
             fully_verified: compiled.fully_verified(),
             incremental: compiled.stats().obligations_reused > 0,
             stats: compiled.stats().clone(),
         };
-        self.stats.check_latency.record(t0.elapsed());
+        if let (Some(p), Some(fp)) = (path, fingerprint) {
+            self.files.insert(p.to_string(), incremental::remember(&fp, src, &compiled, body));
+        }
         Ok(outcome)
     }
 
@@ -211,6 +224,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     const TWO_FUNS: &str = "\
 fun first(v) = sub(v, 0)
@@ -220,6 +234,8 @@ fun second(v) = sub(v, 1)
 where second <| {n:nat | n > 1} int array(n) -> int
 ";
 
+    /// A byte-identical re-check replays the last report: every
+    /// obligation reused, nothing generated, solved or looked up.
     #[test]
     fn repeat_check_is_fully_incremental() {
         let mut s = Session::new(Compiler::new());
@@ -228,12 +244,63 @@ where second <| {n:nat | n > 1} int array(n) -> int
         assert!(first.fully_verified);
         let second = s.check(Some("a.dml"), TWO_FUNS).unwrap();
         assert!(second.incremental);
+        assert!(second.fully_verified);
+        assert_eq!(second.report.ok, first.report.ok);
+        assert_eq!(second.stats.constraints, first.stats.constraints);
         assert_eq!(second.stats.obligations_reused, second.stats.constraints);
         assert_eq!(second.stats.goals, 0, "nothing reached the solver");
+        assert_eq!(second.stats.generation_time, Duration::ZERO);
+        assert_eq!(second.stats.solve_time, Duration::ZERO);
+        assert_eq!(second.stats.solver.cache_hits + second.stats.solver.cache_misses, 0);
         assert_eq!(
             crate::report::stable_body(&first.report.text),
             crate::report::stable_body(&second.report.text),
         );
+        let header = second.report.text.lines().nth(1).unwrap();
+        assert_eq!(
+            header,
+            format!(
+                "solve timing: 0 goals solved ({} obligations reused), \
+                 0.0 ms generation, 0.0 ms solving",
+                first.stats.constraints
+            )
+        );
+    }
+
+    /// A whitespace-only change is compiled, not replayed, but every
+    /// declaration's text is unchanged, so the reuse plan still answers
+    /// every obligation.
+    #[test]
+    fn whitespace_change_recompiles_and_reuses_every_obligation() {
+        let mut s = Session::new(Compiler::new());
+        let first = s.check(Some("w.dml"), TWO_FUNS).unwrap();
+        let shifted = format!("\n\n{TWO_FUNS}\n");
+        let second = s.check(Some("w.dml"), &shifted).unwrap();
+        assert!(second.incremental);
+        assert!(second.stats.generation_time > Duration::ZERO, "generation ran");
+        assert_eq!(second.stats.obligations_reused, second.stats.constraints);
+        assert_eq!(second.stats.constraints, first.stats.constraints);
+        assert_eq!(second.stats.goals, 0);
+        assert_eq!(
+            crate::report::stable_body(&first.report.text),
+            crate::report::stable_body(&second.report.text),
+        );
+    }
+
+    /// Replaying keeps the file's per-declaration verdicts, so an edit
+    /// after a replay still reuses the untouched declaration.
+    #[test]
+    fn edit_after_replay_reuses_untouched_decls() {
+        let mut s = Session::new(Compiler::new());
+        let cold = s.check(Some("r.dml"), TWO_FUNS).unwrap();
+        let replayed = s.check(Some("r.dml"), TWO_FUNS).unwrap();
+        assert_eq!(replayed.stats.generation_time, Duration::ZERO);
+        let edited = TWO_FUNS.replace("sub(v, 1)", "sub(v, 1 - 1 + 1)");
+        let warm = s.check(Some("r.dml"), &edited).unwrap();
+        assert!(warm.incremental);
+        assert!(warm.stats.obligations_reused > 0, "first() verdicts reused");
+        assert!(warm.stats.goals > 0 && warm.stats.goals < cold.stats.goals);
+        assert!(warm.fully_verified);
     }
 
     #[test]
@@ -263,6 +330,8 @@ where second <| {n:nat | n > 1} int array(n) -> int
         assert_eq!(again.stats.solver.cache_misses, 0);
     }
 
+    /// After a failed check the next identical check compiles again
+    /// rather than replaying the state from before the failure.
     #[test]
     fn compile_error_clears_file_state() {
         let mut s = Session::new(Compiler::new());
@@ -270,6 +339,19 @@ where second <| {n:nat | n > 1} int array(n) -> int
         assert!(s.check(Some("c.dml"), "fun broken(").is_err());
         let after = s.check(Some("c.dml"), TWO_FUNS).unwrap();
         assert!(!after.incremental, "state was cleared by the failed check");
+        assert!(after.stats.generation_time > Duration::ZERO, "compiled, not replayed");
+        assert!(after.stats.goals > 0);
+        assert_eq!(after.stats.obligations_reused, 0);
+    }
+
+    /// The session parses each source once; a parse failure renders the
+    /// same text as one-shot `dmlc check`.
+    #[test]
+    fn parse_error_matches_one_shot() {
+        let mut s = Session::new(Compiler::new());
+        let daemon = s.check(Some("p.dml"), "fun broken(").unwrap_err();
+        let one_shot = Compiler::new().compile("fun broken(").unwrap_err().to_string();
+        assert_eq!(daemon, one_shot);
     }
 
     #[test]

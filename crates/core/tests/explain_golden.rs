@@ -6,10 +6,10 @@
 //! The matrix is {workers = 1, 4, auto} × {cache on, off} × {pool cold,
 //! pool warm}: the first parallel compile of the process spawns the
 //! persistent worker pool's helper threads, the second pass re-runs every
-//! configuration against the already-parked helpers. Because every
-//! configuration recompiles the same source, the sweep also pins the
-//! gen-phase memo: memo-cold and memo-warm elaborations must render the
-//! same explain output byte for byte.
+//! configuration against the already-parked helpers. Every configuration
+//! recompiles the same source from scratch, so the sweep also pins
+//! generation as deterministic: each elaboration must render the same
+//! explain output byte for byte.
 
 use dml::{render_explain, Compiler, Solver, SolverOptions};
 use std::sync::Once;

@@ -2,7 +2,7 @@
 
 use super::*;
 use dml_solver::{Solver, SolverOptions, Verdict};
-use dml_types::builtins::{base_env, check_kind};
+use dml_types::builtins::program_env;
 use dml_types::infer::infer_program;
 
 /// Runs the full front-end on `src`, returning the elaboration output and
@@ -10,15 +10,7 @@ use dml_types::infer::infer_program;
 fn run(src: &str) -> (ElabOutput, Vec<(Obligation, Verdict)>) {
     let program = dml_syntax::parse_program(src).unwrap_or_else(|e| panic!("{}", e.render(src)));
     let mut gen = VarGen::new();
-    let mut env = base_env(&mut gen);
-    for d in &program.decls {
-        match d {
-            sast::Decl::Datatype(dd) => env.add_datatype(dd, &mut gen).unwrap(),
-            sast::Decl::Typeref(tr) => env.add_typeref(tr, &mut gen).unwrap(),
-            sast::Decl::Assert(sigs) => env.add_assert(sigs, &check_kind, &mut gen).unwrap(),
-            _ => {}
-        }
-    }
+    let env = program_env(&program, &mut gen).unwrap();
     let phase1 = infer_program(&program, &env).unwrap_or_else(|e| panic!("phase 1: {e}"));
     let out = elaborate(&program, &env, &phase1, gen).unwrap_or_else(|e| panic!("phase 2: {e}"));
     let mut gen = out.gen.clone();

@@ -37,7 +37,7 @@ use dml_obs::json::{obj, Json};
 use dml_solver::Solver;
 use dml_syntax::ast::{self as sast};
 use dml_syntax::Span;
-use dml_types::builtins::base_env;
+use dml_types::builtins::program_env;
 use std::collections::BTreeMap;
 
 pub use absint::{analyze_decl, DeclAnalysis, Namer};
@@ -107,23 +107,7 @@ pub struct InferOutcome {
 /// rejections.
 pub fn infer_refinements(program: &sast::Program, solver: &Solver) -> Result<InferOutcome, String> {
     // Phase-1 schemes for every function (top-level and local).
-    let mut gen = VarGen::new();
-    let mut env = base_env(&mut gen);
-    for d in &program.decls {
-        match d {
-            sast::Decl::Datatype(dd) => {
-                env.add_datatype(dd, &mut gen).map_err(|e| e.message)?;
-            }
-            sast::Decl::Typeref(tr) => {
-                env.add_typeref(tr, &mut gen).map_err(|e| e.message)?;
-            }
-            sast::Decl::Assert(sigs) => {
-                env.add_assert(sigs, &dml_types::builtins::check_kind, &mut gen)
-                    .map_err(|e| e.message)?;
-            }
-            _ => {}
-        }
-    }
+    let env = program_env(program, &mut VarGen::new()).map_err(|e| e.message)?;
     let phase1 = dml_types::infer_program(program, &env).map_err(|e| e.message)?;
     let schemes: BTreeMap<Span, dml_types::MlScheme> =
         phase1.schemes.iter().map(|(s, sc)| (*s, sc.clone())).collect();

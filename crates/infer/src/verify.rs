@@ -24,7 +24,7 @@ use dml_index::VarGen;
 use dml_solver::{prove_all, Solver, Verdict};
 use dml_syntax::ast::{self as sast};
 use dml_syntax::Span;
-use dml_types::builtins::{base_env, check_kind};
+use dml_types::builtins::program_env;
 use dml_types::infer_program;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,21 +48,7 @@ pub struct MiniCheck {
 /// compiler pipeline's verdict collapse and fail-safe gating.
 pub fn check_program(program: &sast::Program, solver: &Solver) -> Result<MiniCheck, String> {
     let mut gen = VarGen::new();
-    let mut env = base_env(&mut gen);
-    for d in &program.decls {
-        match d {
-            sast::Decl::Datatype(dd) => {
-                env.add_datatype(dd, &mut gen).map_err(|e| e.message)?;
-            }
-            sast::Decl::Typeref(tr) => {
-                env.add_typeref(tr, &mut gen).map_err(|e| e.message)?;
-            }
-            sast::Decl::Assert(sigs) => {
-                env.add_assert(sigs, &check_kind, &mut gen).map_err(|e| e.message)?;
-            }
-            _ => {}
-        }
-    }
+    let env = program_env(program, &mut gen).map_err(|e| e.message)?;
     let phase1 = infer_program(program, &env).map_err(|e| e.message)?;
     let out = dml_elab::elaborate(program, &env, &phase1, gen).map_err(|e| e.message)?;
     let mut gen = out.gen;
@@ -76,7 +62,7 @@ pub fn check_program(program: &sast::Program, solver: &Solver) -> Result<MiniChe
     let mut site_ok: BTreeMap<Span, (bool, String)> = BTreeMap::new();
     let mut all_check_sites = BTreeSet::new();
     for (ob, outcome) in out.obligations.iter().zip(&outcomes) {
-        let verdict = collapse(outcome);
+        let verdict = outcome.verdict();
         if ob.kind.is_check() {
             all_check_sites.insert(ob.site);
             let e = site_ok.entry(ob.site).or_insert_with(|| (true, String::new()));
@@ -103,22 +89,6 @@ pub fn check_program(program: &sast::Program, solver: &Solver) -> Result<MiniChe
         (all_check_sites, detail)
     };
     Ok(MiniCheck { non_check_ok, residual_sites, residual_detail, failing_funs })
-}
-
-fn collapse(outcome: &dml_solver::Outcome) -> Verdict {
-    let mut collapsed = Verdict::Proven;
-    for (_, r) in &outcome.results {
-        match r {
-            Verdict::Proven => {}
-            Verdict::Refuted => return Verdict::Refuted,
-            other => {
-                if collapsed.is_proven() {
-                    collapsed = other.clone();
-                }
-            }
-        }
-    }
-    collapsed
 }
 
 fn verdict_desc(v: &Verdict) -> String {

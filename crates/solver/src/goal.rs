@@ -197,6 +197,26 @@ impl Outcome {
         self.results.iter().all(|(_, r)| r.is_proven())
     }
 
+    /// The single verdict recorded per obligation: `Proven` when every
+    /// goal was proven (in particular when the constraint split into no
+    /// goals at all); otherwise `Refuted` if *any* goal was refuted (a
+    /// counterexample trumps mere uncertainty), else the first `Unknown`.
+    pub fn verdict(&self) -> Verdict {
+        let mut collapsed = Verdict::Proven;
+        for (_, r) in &self.results {
+            match r {
+                Verdict::Proven => {}
+                Verdict::Refuted => return Verdict::Refuted,
+                other => {
+                    if collapsed.is_proven() {
+                        collapsed = other.clone();
+                    }
+                }
+            }
+        }
+        collapsed
+    }
+
     /// The goals that were not proven (refuted or unknown).
     pub fn failures(&self) -> impl Iterator<Item = &(Goal, Verdict)> {
         self.results.iter().filter(|(_, r)| !r.is_proven())
@@ -1720,5 +1740,31 @@ mod tests {
             ..SolverOptions::default()
         });
         assert!(!without.prove(&c, &mut g).all_proven());
+    }
+
+    /// `Outcome::verdict` is total: an outcome with no goals (or
+    /// all-proven goals) collapses to `Proven` instead of panicking;
+    /// `Refuted` trumps `Unknown`; otherwise the first `Unknown` wins.
+    #[test]
+    fn collapse_verdicts_is_total_and_orders_refuted_first() {
+        let outcome = |verdicts: Vec<Verdict>| {
+            let goal =
+                Goal { ctx: vec![], hyps: vec![], concl: Prop::True, residual_existential: false };
+            Outcome {
+                results: verdicts.into_iter().map(|v| (goal.clone(), v)).collect(),
+                traces: vec![],
+                stats: SolverStats::default(),
+            }
+        };
+        assert_eq!(outcome(vec![]).verdict(), Verdict::Proven);
+        assert_eq!(outcome(vec![Verdict::Proven]).verdict(), Verdict::Proven);
+        let mixed = outcome(vec![
+            Verdict::Proven,
+            Verdict::Unknown(UnknownReason::Blowup),
+            Verdict::Unknown(UnknownReason::PossiblyFalsifiable),
+        ]);
+        assert_eq!(mixed.verdict(), Verdict::Unknown(UnknownReason::Blowup));
+        let refuted_late = outcome(vec![Verdict::Unknown(UnknownReason::Blowup), Verdict::Refuted]);
+        assert_eq!(refuted_late.verdict(), Verdict::Refuted);
     }
 }

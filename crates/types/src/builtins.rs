@@ -12,6 +12,7 @@
 //!   subscript (the escape hatch used in the KMP example, Appendix A);
 //! * `nth` / `nthCK` — the list analogues eliminating tag checks.
 
+use crate::convert::ConvertError;
 use crate::env::{CheckKind, Env};
 use dml_index::VarGen;
 use dml_syntax::ast as sast;
@@ -97,6 +98,27 @@ pub fn base_env(gen: &mut VarGen) -> Env {
         }
     }
     env
+}
+
+/// Builds a program's environment: the prelude ([`base_env`]) plus the
+/// program's own `datatype`, `typeref` and `assert` declarations, in
+/// source order.
+///
+/// # Errors
+///
+/// The first declaration that fails to elaborate, with its message and
+/// span.
+pub fn program_env(program: &sast::Program, gen: &mut VarGen) -> Result<Env, ConvertError> {
+    let mut env = base_env(gen);
+    for d in &program.decls {
+        match d {
+            sast::Decl::Datatype(dd) => env.add_datatype(dd, gen)?,
+            sast::Decl::Typeref(tr) => env.add_typeref(tr, gen)?,
+            sast::Decl::Assert(sigs) => env.add_assert(sigs, &check_kind, gen)?,
+            _ => {}
+        }
+    }
+    Ok(env)
 }
 
 #[cfg(test)]

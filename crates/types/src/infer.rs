@@ -571,28 +571,14 @@ fn is_syntactic_value(e: &sast::Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builtins::base_env;
+    use crate::builtins::program_env;
     use dml_index::VarGen;
     use dml_syntax::parse_program;
 
     fn infer(src: &str) -> Result<(InferResult, Env), InferError> {
         let p = parse_program(src).unwrap();
-        let mut gen = VarGen::new();
-        let mut env = base_env(&mut gen);
-        for d in &p.decls {
-            match d {
-                sast::Decl::Datatype(dd) => env
-                    .add_datatype(dd, &mut gen)
-                    .map_err(|e| InferError::new(e.message, e.span))?,
-                sast::Decl::Typeref(tr) => {
-                    env.add_typeref(tr, &mut gen).map_err(|e| InferError::new(e.message, e.span))?
-                }
-                sast::Decl::Assert(sigs) => env
-                    .add_assert(sigs, &crate::builtins::check_kind, &mut gen)
-                    .map_err(|e| InferError::new(e.message, e.span))?,
-                _ => {}
-            }
-        }
+        let env =
+            program_env(&p, &mut VarGen::new()).map_err(|e| InferError::new(e.message, e.span))?;
         infer_program(&p, &env).map(|r| (r, env))
     }
 

