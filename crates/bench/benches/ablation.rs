@@ -10,12 +10,11 @@
 use dml::experiments::{bench_source, benchmarks};
 use dml::Compiler;
 use dml_bench::bench;
-use dml_solver::system::FourierOptions;
 use dml_solver::SolverOptions;
 use std::hint::black_box;
 
 fn options(tighten: bool) -> SolverOptions {
-    SolverOptions::default().with_fourier(FourierOptions { tighten, ..FourierOptions::default() })
+    SolverOptions::default().with_tighten(tighten)
 }
 
 fn print_summary() {

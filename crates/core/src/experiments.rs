@@ -19,7 +19,6 @@ use crate::pipeline::{Compiled, Compiler};
 use crate::table::Table;
 use dml_eval::{Machine, Mode, Value};
 use dml_programs as progs;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// One row of Table 1.
@@ -429,10 +428,6 @@ pub fn run_benchmark_with(b: &Bench, factor: u32, check_cost: u32, repeats: u32)
     }
 }
 
-fn pair(a: Value, b: Value) -> Value {
-    Value::Tuple(Rc::new(vec![a, b]))
-}
-
 fn run_bcopy(m: &mut Machine, factor: u32) -> i64 {
     // Paper: copy 1M bytes 10 times. Scaled: 16384·f bytes, 4 rounds.
     let n = 16_384 * factor as usize;
@@ -509,12 +504,6 @@ fn run_listaccess(m: &mut Machine, factor: u32) -> i64 {
         .expect("listaccess runs")
         .as_int()
         .unwrap()
-}
-
-// `pair` is used by future drivers; keep the helper exercised.
-#[allow(dead_code)]
-fn _pair_used(a: Value, b: Value) -> Value {
-    pair(a, b)
 }
 
 #[cfg(test)]

@@ -544,7 +544,8 @@ impl Compiler {
     ) -> Result<Compiled, PipelineError> {
         // The session solver is created once per handle; applying the
         // handle's current options here keeps later setter calls honest
-        // while preserving the shared cache.
+        // while preserving the shared cache (unless tightening changed:
+        // see `Solver::with_options`).
         let solver = self.solver().with_options(self.options);
         // Trace mode re-decides every goal for complete event stories;
         // verdict reuse would leave reused obligations storyless.
@@ -1009,6 +1010,23 @@ where first <| {n:nat | n > 0} int array(n) -> int
         let third = refueled.compile(src).unwrap();
         assert!(third.fully_verified());
         assert_eq!(cold.proven_sites(), third.proven_sites());
+    }
+
+    /// Tightening changes verdicts, so a handle that already compiled with
+    /// it must not serve those verdicts to a compile without it: bcopy
+    /// needs tightening, and is not fully verified without it on a fresh
+    /// handle or on a warm one.
+    #[test]
+    fn untightened_compile_is_not_served_tightened_verdicts() {
+        let src = dml_programs::bcopy::SOURCE;
+        let untightened = SolverOptions::default().with_tighten(false);
+        let fresh = Compiler::new().solver_options(untightened).compile(src).unwrap();
+        assert!(!fresh.fully_verified());
+        let session = Compiler::new();
+        assert!(session.compile(src).unwrap().fully_verified());
+        let warm = session.solver_options(untightened).compile(src).unwrap();
+        let s = &warm.stats().solver;
+        assert!(!warm.fully_verified(), "{} hits, {} misses", s.cache_hits, s.cache_misses);
     }
 
     /// Worker count and cache do not change verdicts or proven sites.

@@ -67,7 +67,8 @@ pub enum TraceEvent {
         /// Number of inequalities entering elimination.
         ineqs: usize,
     },
-    /// Integer tightening rounded constraints down (Omega-style).
+    /// Integer tightening (§3.2) divided inequalities by the GCD of their
+    /// coefficients and rounded their constants down.
     Tightened {
         /// Number of inequalities whose bounds were tightened.
         count: u64,

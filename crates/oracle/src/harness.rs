@@ -8,8 +8,7 @@
 //!   its cache is warm across iterations, exactly like a compile);
 //! * fresh solver, cache off, unlimited fuel;
 //! * fresh solver, cache on (cold), unlimited fuel;
-//! * shared solver at two fuel budgets (tiny and ample);
-//! * fresh solver with the Omega-test fallback on.
+//! * shared solver at two fuel budgets (tiny and ample).
 //!
 //! Cross-checks, in decreasing severity:
 //!
@@ -41,9 +40,6 @@
 //!    witness search only certifies the first satisfiable disjunct, and
 //!    only inside its `[-8, 8]` box — so there `Unknown` is within
 //!    contract and only a solver `Proven` is a (soundness) divergence.
-//!    The Omega-fallback verdict gets the same soundness check; the goals
-//!    it proves that Fourier–Motzkin alone left `Unknown` are counted in
-//!    [`FuzzReport::omega_recovered`].
 //!
 //! Every `workers_batch` iterations the accumulated goals are wrapped in
 //! `Constraint`s and proven with 1-worker and 4-worker `prove_all`,
@@ -200,9 +196,6 @@ pub struct FuzzReport {
     pub refuted: u64,
     /// See [`FuzzReport::proven`].
     pub unknown: u64,
-    /// Goals the Omega-test fallback proved that the base configuration
-    /// (Fourier–Motzkin alone) left `Unknown`.
-    pub omega_recovered: u64,
     /// Oracle verdict counts.
     pub oracle_proven: u64,
     /// See [`FuzzReport::oracle_proven`].
@@ -248,8 +241,8 @@ impl FuzzReport {
             self.seed, self.iters, self.digest
         ));
         out.push_str(&format!(
-            "solver verdicts: {} proven, {} refuted, {} unknown ({} proven with the Omega fallback)\n",
-            self.proven, self.refuted, self.unknown, self.omega_recovered
+            "solver verdicts: {} proven, {} refuted, {} unknown\n",
+            self.proven, self.refuted, self.unknown
         ));
         out.push_str(&format!(
             "oracle verdicts: {} proven, {} refuted, {} unknown\n",
@@ -331,7 +324,6 @@ impl FuzzReport {
             ("metamorphicChecks", Json::Int(self.metamorphic_checks as i64)),
             ("workerCheckedGoals", Json::Int(self.worker_checked_goals as i64)),
             ("programCases", Json::Int(self.program_cases as i64)),
-            ("omegaRecovered", Json::Int(self.omega_recovered as i64)),
             (
                 "infer",
                 obj(vec![
@@ -497,27 +489,11 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             }
         }
 
-        // The Omega fallback on a fresh solver, decided on a copy of the
-        // variable generator so the rest of the run, digest included, is
-        // unchanged by it.
-        let omega_opts = SolverOptions::default().with_workers(Some(1)).with_omega_fallback(true);
-        let omega = decide_with(&Solver::new(omega_opts), &goal, &mut gen.clone());
-        if omega.is_proven() && cold.is_unknown() {
-            report.omega_recovered += 1;
-        }
-
-        // Oracle cross-checks. Neither the deterministic cold verdict nor
-        // the Omega fallback may prove a goal with an integer countermodel.
-        if let OracleVerdict::Refuted(model) = &oracle {
-            let cold_opts = SolverOptions::default().with_workers(Some(1));
-            for (who, opts, v) in
-                [("solver", cold_opts, &cold), ("omega fallback", omega_opts, &omega)]
-            {
-                if !v.is_proven() {
-                    continue;
-                }
+        // Oracle cross-check (against the deterministic cold verdict).
+        match (&oracle, &cold) {
+            (OracleVerdict::Refuted(model), Verdict::Proven) => {
                 let detail = format!(
-                    "{who} proved a goal with integer countermodel {}",
+                    "solver proved a goal with integer countermodel {}",
                     model.iter().map(|(n, v)| format!("{n}={v}")).collect::<Vec<_>>().join(" ")
                 );
                 let bound = cfg.bound;
@@ -530,13 +506,15 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                     &goal,
                     move |g, gen| {
                         matches!(oracle_decide(g, bound), OracleVerdict::Refuted(_))
-                            && decide_with(&Solver::new(opts), g, gen) == Verdict::Proven
+                            && decide_with(
+                                &Solver::new(SolverOptions::default().with_workers(Some(1))),
+                                g,
+                                gen,
+                            ) == Verdict::Proven
                     },
                     &mut gen,
                 );
             }
-        }
-        match (&oracle, &cold) {
             (OracleVerdict::Proven, Verdict::Refuted) => {
                 let bound = cfg.bound;
                 record(

@@ -252,7 +252,6 @@ fn go<'p>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::FourierOptions;
     use crate::system::RefuteResult;
     use dml_index::VarGen;
 
@@ -314,7 +313,7 @@ mod tests {
         let p = Prop::BVar(b.clone()).and(Prop::Not(Box::new(Prop::BVar(b))));
         let systems = systems(&p, 16).unwrap();
         assert_eq!(systems.len(), 1);
-        let (r, _) = systems[0].refute(&FourierOptions::default());
+        let (r, _) = systems[0].refute(true);
         assert_eq!(r, RefuteResult::Refuted);
     }
 

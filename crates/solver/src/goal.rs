@@ -12,7 +12,7 @@ use crate::canon::{canonicalize_budgeted, BudgetClass};
 use crate::dnf::{expand_ne, Dnf, DnfError};
 use crate::lower::Lowering;
 use crate::stats::SolverStats;
-use crate::system::{FourierOptions, FuelMeter, RefuteResult, RefuteTrace};
+use crate::system::{FuelMeter, RefuteResult, RefuteTrace};
 use dml_index::{Constraint, IExp, Linear, Prop, Sort, UnknownReason, Var, VarGen, Verdict};
 use dml_obs::{GoalTrace, TraceEvent};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -72,16 +72,11 @@ impl fmt::Display for Goal {
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy)]
 pub struct SolverOptions {
-    /// Fourier–Motzkin options (tightening on/off, limits).
-    pub fourier: FourierOptions,
-    /// Maximum DNF disjuncts per goal.
-    pub max_disjuncts: usize,
-    /// When Fourier–Motzkin with tightening fails to refute a disjunct,
-    /// retry with the exact Omega test (§6 future work; see
-    /// [`crate::omega`]). Off by default — none of the paper's programs
-    /// need it — but `dmlc fuzz` decides every goal with it as well and
-    /// checks its proofs against the enumeration oracle.
-    pub omega_fallback: bool,
+    /// Apply integer tightening after every Fourier–Motzkin combination
+    /// (§3.2, the paper's extension of Fourier's method). On by default;
+    /// the ablation bench turns it off. Verdicts depend on it, so
+    /// [`Solver::with_options`] never shares a cache across a change of it.
+    pub tighten: bool,
     /// Number of solve workers for [`crate::parallel::prove_all`]. `None`
     /// uses the machine's available parallelism; `Some(1)` reproduces the
     /// sequential pipeline exactly (same `VarGen` consumption, same order).
@@ -107,9 +102,7 @@ pub struct SolverOptions {
 impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
-            fourier: FourierOptions::default(),
-            max_disjuncts: 256,
-            omega_fallback: false,
+            tighten: true,
             workers: None,
             cache: true,
             fuel: None,
@@ -120,21 +113,9 @@ impl Default for SolverOptions {
 }
 
 impl SolverOptions {
-    /// Replaces the Fourier–Motzkin options.
-    pub fn with_fourier(mut self, fourier: FourierOptions) -> Self {
-        self.fourier = fourier;
-        self
-    }
-
-    /// Sets the maximum DNF disjuncts per goal.
-    pub fn with_max_disjuncts(mut self, max_disjuncts: usize) -> Self {
-        self.max_disjuncts = max_disjuncts;
-        self
-    }
-
-    /// Enables or disables the Omega-test fallback.
-    pub fn with_omega_fallback(mut self, on: bool) -> Self {
-        self.omega_fallback = on;
+    /// Enables or disables integer tightening.
+    pub fn with_tighten(mut self, on: bool) -> Self {
+        self.tighten = on;
         self
     }
 
@@ -248,8 +229,13 @@ impl Solver {
 
     /// A solver with different options but the *same* shared verdict
     /// cache. Budget classes keep entries computed under different fuel
-    /// limits apart (see [`crate::canon::BudgetClass`]).
+    /// limits apart (see [`crate::canon::BudgetClass`]); a change of
+    /// [`SolverOptions::tighten`], the one other option verdicts depend
+    /// on, starts a fresh cache instead.
     pub fn with_options(&self, opts: SolverOptions) -> Solver {
+        if opts.tighten != self.opts.tighten {
+            return Solver::new(opts);
+        }
         Solver { opts, cache: Arc::clone(&self.cache) }
     }
 
@@ -354,24 +340,21 @@ impl Solver {
         stats: &mut SolverStats,
     ) -> (Verdict, Option<GoalTrace>) {
         let start = Instant::now();
-        if !self.opts.trace {
-            let v = self.decide_plain(goal, gen, stats);
-            stats.phase_times.goal.record(start.elapsed());
-            return (v, None);
-        }
-        let mut tr = GoalTrace::default();
+        let mut tr = self.opts.trace.then(GoalTrace::default);
         let combos_before = stats.fm_combinations;
-        let v = self.decide_recording(goal, gen, stats, &mut tr);
-        tr.fuel_spent = (stats.fm_combinations - combos_before) as u64;
-        tr.push(TraceEvent::Verdict { verdict: v.to_string() });
+        let v = self.decide_goal(goal, gen, stats, tr.as_mut());
         let elapsed = start.elapsed();
-        tr.wall_ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
         stats.phase_times.goal.record(elapsed);
-        (v, Some(tr))
+        if let Some(t) = tr.as_mut() {
+            t.fuel_spent = (stats.fm_combinations - combos_before) as u64;
+            t.push(TraceEvent::Verdict { verdict: v.to_string() });
+            t.wall_ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+        }
+        (v, tr)
     }
 
-    /// The cheap syntactic fast paths shared by both decide modes. Returns
-    /// the verdict and the rule name (for [`TraceEvent::FastPath`]).
+    /// The cheap syntactic fast paths. Returns the verdict and the rule
+    /// name (for [`TraceEvent::FastPath`]).
     fn fast_path(&self, goal: &Goal) -> Option<(Verdict, &'static str)> {
         if goal.concl == Prop::True {
             return Some((Verdict::Proven, "trivial-conclusion"));
@@ -394,58 +377,50 @@ impl Solver {
         None
     }
 
-    /// The default (untraced) decide path: fast paths, then the cache, then
-    /// the full decision procedure.
-    fn decide_plain(&self, goal: &Goal, gen: &mut VarGen, stats: &mut SolverStats) -> Verdict {
-        if let Some((v, _rule)) = self.fast_path(goal) {
+    /// The one decide path: fast paths, then the cache, then the full
+    /// decision procedure. With a trace buffer every step is recorded and
+    /// a cache hit is re-decided instead of served (see
+    /// [`Solver::decide_traced`]); the decision itself is the same.
+    fn decide_goal(
+        &self,
+        goal: &Goal,
+        gen: &mut VarGen,
+        stats: &mut SolverStats,
+        mut tr: Option<&mut GoalTrace>,
+    ) -> Verdict {
+        if let Some((v, rule)) = self.fast_path(goal) {
+            if let Some(t) = tr {
+                t.push(TraceEvent::FastPath { rule });
+            }
             return v;
         }
-        if !self.opts.cache {
+        if !self.opts.cache && tr.is_none() {
             return self.decide_uncached(goal, gen, stats, None);
         }
         // Verdicts are keyed by budget class: a fuel-truncated Unknown must
         // never masquerade as the unlimited answer (or vice versa).
         let key = canonicalize_budgeted(goal, self.opts.budget_class());
-        if let Some(r) = self.cache.get(&key) {
-            stats.cache_hits += 1;
-            return r;
+        if let Some(t) = tr.as_deref_mut() {
+            t.push(TraceEvent::Canonicalized { vars: key.sorts.len(), hyps: key.hyps.len() });
         }
-        stats.cache_misses += 1;
-        let r = self.decide_uncached(goal, gen, stats, None);
-        // Deadline verdicts depend on wall-clock scheduling, so they are
-        // recomputed every time rather than poisoning the shared cache.
-        if r != Verdict::Unknown(UnknownReason::Deadline) {
-            self.cache.insert(key, r.clone());
-        }
-        r
-    }
-
-    /// The trace-mode decide path: identical decisions to
-    /// [`Solver::decide_plain`], but every step is recorded and cache hits
-    /// are re-decided (see [`Solver::decide_traced`]).
-    fn decide_recording(
-        &self,
-        goal: &Goal,
-        gen: &mut VarGen,
-        stats: &mut SolverStats,
-        tr: &mut GoalTrace,
-    ) -> Verdict {
-        if let Some((v, rule)) = self.fast_path(goal) {
-            tr.push(TraceEvent::FastPath { rule });
-            return v;
-        }
-        let key = canonicalize_budgeted(goal, self.opts.budget_class());
-        tr.push(TraceEvent::Canonicalized { vars: key.sorts.len(), hyps: key.hyps.len() });
         if self.opts.cache {
-            let hit = self.cache.get(&key).is_some();
-            tr.push(TraceEvent::Cache { hit });
-            if hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.cache_misses += 1;
+            let cached = self.cache.get(&key);
+            if let Some(t) = tr.as_deref_mut() {
+                t.push(TraceEvent::Cache { hit: cached.is_some() });
+            }
+            match cached {
+                Some(r) => {
+                    stats.cache_hits += 1;
+                    if tr.is_none() {
+                        return r;
+                    }
+                }
+                None => stats.cache_misses += 1,
             }
         }
-        let r = self.decide_uncached(goal, gen, stats, Some(tr));
+        let r = self.decide_uncached(goal, gen, stats, tr);
+        // Deadline verdicts depend on wall-clock scheduling, so they are
+        // recomputed every time rather than poisoning the shared cache.
         if self.opts.cache && r != Verdict::Unknown(UnknownReason::Deadline) {
             self.cache.insert(key, r.clone());
         }
@@ -514,7 +489,7 @@ impl Solver {
         // conclusion were normalised before lowering, which keeps their
         // shape, and the side constraints are built that way.
         let formula = lowered.and(sides);
-        let dnf = match Dnf::expand(&formula, self.opts.max_disjuncts) {
+        let dnf = match Dnf::expand(&formula, MAX_DISJUNCTS) {
             Ok(d) => d,
             Err(e) => {
                 stats.phase_times.dnf.record(t_dnf.elapsed());
@@ -553,13 +528,11 @@ impl Solver {
                 if let Some(t) = tr.as_deref_mut() {
                     t.push(TraceEvent::SystemStart { index, ineqs: sys.len() });
                 }
-                let (r, combos) = match (tr.as_deref_mut(), names.as_ref()) {
-                    (Some(t), Some(names)) => {
-                        let mut sink = RefuteTrace { events: &mut t.events, names };
-                        sys.refute_traced(&self.opts.fourier, &mut meter, Some(&mut sink))
-                    }
-                    _ => sys.refute_budgeted(&self.opts.fourier, &mut meter),
+                let mut sink = match (tr.as_deref_mut(), names.as_ref()) {
+                    (Some(t), Some(names)) => Some(RefuteTrace { events: &mut t.events, names }),
+                    _ => None,
                 };
+                let (r, combos) = sys.refute_traced(self.opts.tighten, &mut meter, sink.as_mut());
                 stats.fm_combinations += combos;
                 if let Some(t) = tr.as_deref_mut() {
                     t.push(TraceEvent::Fuel { spent: meter.spent(), remaining: meter.remaining() });
@@ -567,16 +540,6 @@ impl Solver {
                 match r {
                     RefuteResult::Refuted => stats.disjuncts_refuted += 1,
                     RefuteResult::PossiblySat => {
-                        if self.opts.omega_fallback
-                            && crate::omega::omega_refutes(
-                                &sys,
-                                gen,
-                                &crate::omega::OmegaOptions::default(),
-                            )
-                        {
-                            stats.disjuncts_refuted += 1;
-                            continue;
-                        }
                         // A satisfiable disjunct of `hyps ∧ ¬concl` is a
                         // counterexample to the goal — but only when the
                         // system is *exactly* the goal's negation: no
@@ -667,6 +630,9 @@ fn stable_names(goal: &Goal, vars: &BTreeSet<Var>) -> HashMap<Var, String> {
     names
 }
 
+/// A goal whose negation expands past this many DNF disjuncts is
+/// `Unknown(Blowup)`.
+const MAX_DISJUNCTS: usize = 256;
 /// Counterexample search is capped at this many variables (the box search
 /// is exponential) …
 const REFUTE_SEARCH_MAX_VARS: usize = 4;
@@ -774,7 +740,7 @@ fn eliminate_chain_once(c: &Constraint, stats: &mut SolverStats) -> Constraint {
     let body = eliminate_pass(cur, stats);
     let mut raw_hyp = Vec::new();
     let mut raw_concl = Vec::new();
-    collect_equations(&body, false, &mut raw_hyp, &mut raw_concl);
+    collect_equations(&body, &mut raw_hyp, &mut raw_concl);
     let mut hyp_eqs: Vec<EqEntry> = raw_hyp.into_iter().map(EqEntry::new).collect();
     let mut concl_eqs: Vec<EqEntry> = raw_concl.into_iter().map(EqEntry::new).collect();
     let mut solved: Vec<(Var, IExp)> = Vec::new();
@@ -866,7 +832,6 @@ fn contains_exists(c: &Constraint) -> bool {
 
 fn collect_equations(
     c: &Constraint,
-    _under_hyp: bool,
     hyp_eqs: &mut Vec<(IExp, IExp)>,
     concl_eqs: &mut Vec<(IExp, IExp)>,
 ) {
@@ -874,15 +839,15 @@ fn collect_equations(
         Constraint::Prop(p) => collect_prop_equations(p, concl_eqs),
         Constraint::And(cs) => {
             for c in cs {
-                collect_equations(c, _under_hyp, hyp_eqs, concl_eqs);
+                collect_equations(c, hyp_eqs, concl_eqs);
             }
         }
         Constraint::Implies(p, c) => {
             collect_prop_equations(p, hyp_eqs);
-            collect_equations(c, _under_hyp, hyp_eqs, concl_eqs);
+            collect_equations(c, hyp_eqs, concl_eqs);
         }
         Constraint::Forall(_, _, c) | Constraint::Exists(_, _, c) => {
-            collect_equations(c, _under_hyp, hyp_eqs, concl_eqs);
+            collect_equations(c, hyp_eqs, concl_eqs);
         }
     }
 }
@@ -1315,41 +1280,15 @@ mod tests {
         assert!(solver().prove(&c, &mut g).all_proven());
     }
 
-    /// The gray-region goal from Pugh's paper is only provable with the
-    /// Omega fallback: ∀x,y. ¬(27 ≤ 11x+13y ≤ 45 ∧ −10 ≤ 7x−9y ≤ 4).
+    /// Once a disjunct survives elimination the goal is decided: the
+    /// disjuncts after it are never reached. `¬gray(x, y) ∧ x ≤ 5`
+    /// negates to `gray(x, y) ∨ x > 5`; the first disjunct (Pugh's gray
+    /// region, `27 ≤ 11x+13y ≤ 45 ∧ −10 ≤ 7x−9y ≤ 4`) has no integer point
+    /// but survives FM with tightening, and has no witness in the search
+    /// box either, so the goal ends `Unknown` even though the second
+    /// disjunct is falsified at `x = 6`.
     #[test]
-    fn omega_fallback_proves_gray_region_goals() {
-        let mut g = VarGen::new();
-        let x = g.fresh("x");
-        let y = g.fresh("y");
-        let e1 = IExp::lit(11) * IExp::var(x.clone()) + IExp::lit(13) * IExp::var(y.clone());
-        let e2 = IExp::lit(7) * IExp::var(x.clone()) - IExp::lit(9) * IExp::var(y.clone());
-        let hyp = Prop::le(IExp::lit(27), e1.clone())
-            .and(Prop::le(e1, IExp::lit(45)))
-            .and(Prop::le(IExp::lit(-10), e2.clone()))
-            .and(Prop::le(e2, IExp::lit(4)));
-        let c = Constraint::Forall(
-            x,
-            Sort::Int,
-            Box::new(Constraint::Forall(
-                y,
-                Sort::Int,
-                Box::new(Constraint::Implies(hyp, Box::new(Constraint::Prop(Prop::False)))),
-            )),
-        );
-        let plain = Solver::new(SolverOptions::default());
-        assert!(!plain.prove(&c, &mut g).all_proven(), "FM+tightening alone cannot prove this");
-        let with_omega =
-            Solver::new(SolverOptions { omega_fallback: true, ..SolverOptions::default() });
-        assert!(with_omega.prove(&c, &mut g).all_proven(), "the Omega fallback decides it");
-    }
-
-    /// A disjunct the Omega fallback refutes is not the end of the goal:
-    /// the disjuncts after it are still decided. `¬gray(x, y) ∧ x ≤ 5`
-    /// negates to `gray(x, y) ∨ x > 5`; the first disjunct has no integer
-    /// point but survives FM, the second is falsified at `x = 6`.
-    #[test]
-    fn omega_refuted_disjunct_does_not_end_the_goal() {
+    fn open_first_disjunct_ends_the_goal() {
         let mut g = VarGen::new();
         let x = g.fresh("x");
         let y = g.fresh("y");
@@ -1365,35 +1304,26 @@ mod tests {
             concl: Prop::Not(Box::new(gray)).and(Prop::le(IExp::var(x), IExp::lit(5))),
             residual_existential: false,
         };
-        let decide = |omega: bool, g: &mut VarGen| {
-            let opts = SolverOptions::default().with_omega_fallback(omega).with_trace(true);
-            let mut stats = SolverStats::default();
-            let (v, tr) = Solver::new(opts).decide_traced(&goal, g, &mut stats);
-            (v, stats, tr.expect("trace mode"))
-        };
-        let (v, stats, tr) = decide(false, &mut g);
+        let mut stats = SolverStats::default();
+        let solver = Solver::new(SolverOptions::default().with_trace(true));
+        let (v, tr) = solver.decide_traced(&goal, &mut g, &mut stats);
+        let tr = tr.expect("trace mode");
         assert_eq!(v, Verdict::Unknown(UnknownReason::PossiblyFalsifiable));
         assert_eq!(stats.disjuncts_refuted, 0);
-        let starts = |tr: &GoalTrace| {
-            tr.events.iter().filter(|e| matches!(e, TraceEvent::SystemStart { .. })).count()
-        };
-        assert_eq!(starts(&tr), 1, "without the fallback the first disjunct ends the goal");
-
-        let (v, stats, tr) = decide(true, &mut g);
-        assert_eq!(v, Verdict::Refuted, "the second disjunct is decided and falsified");
-        assert_eq!(stats.disjuncts_refuted, 1, "only the Omega-refuted disjunct");
         assert!(tr.events.contains(&TraceEvent::Dnf { disjuncts: 2 }));
-        assert_eq!(starts(&tr), 2);
-        assert_eq!(tr.witness(), Some(&[("x".to_string(), 6)][..]));
+        let starts =
+            tr.events.iter().filter(|e| matches!(e, TraceEvent::SystemStart { .. })).count();
+        assert_eq!(starts, 1, "the first disjunct ends the goal");
     }
 
-    /// A goal whose negation expands past `max_disjuncts` is
+    /// A goal whose negation expands past `MAX_DISJUNCTS` is
     /// `Unknown(Blowup)` before any elimination work is spent.
     #[test]
     fn dnf_blowup_spends_no_elimination_work() {
         let mut g = VarGen::new();
         let x = g.fresh("x");
         // Nine hypotheses `x <> i`, two disjuncts each: 2^9 = 512 > 256.
+        assert_eq!(MAX_DISJUNCTS, 256);
         let goal = Goal {
             ctx: vec![(x.clone(), Sort::Int)],
             hyps: (0..9).map(|i| Prop::cmp(Cmp::Ne, IExp::var(x.clone()), IExp::lit(i))).collect(),
@@ -1402,7 +1332,6 @@ mod tests {
         };
         for trace in [false, true] {
             let s = Solver::new(SolverOptions::default().with_trace(trace));
-            assert_eq!(s.options().max_disjuncts, 256);
             let mut stats = SolverStats::default();
             let (v, tr) = s.decide_traced(&goal, &mut g, &mut stats);
             assert_eq!(v, Verdict::Unknown(UnknownReason::Blowup));
@@ -1735,10 +1664,7 @@ mod tests {
         let c = Constraint::Forall(x, Sort::Int, Box::new(Constraint::Prop(concl)));
         let with = Solver::new(SolverOptions::default());
         assert!(with.prove(&c, &mut g).all_proven());
-        let without = Solver::new(SolverOptions {
-            fourier: FourierOptions { tighten: false, ..FourierOptions::default() },
-            ..SolverOptions::default()
-        });
+        let without = Solver::new(SolverOptions::default().with_tighten(false));
         assert!(!without.prove(&c, &mut g).all_proven());
     }
 

@@ -12,7 +12,7 @@
 //! - fresh-variable generation is lock-free and collision-free under
 //!   work-stealing: each claimed chunk leases a disjoint id range from a
 //!   [`dml_index::VarLease`] at execution time — worker-fresh variables
-//!   are internal to lowering/Omega and never escape into reported
+//!   are internal to lowering and never escape into reported
 //!   results;
 //! - with `workers <= 1` the parent `gen` is threaded through directly,
 //!   reproducing the sequential pipeline's variable consumption exactly.

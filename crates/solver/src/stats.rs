@@ -25,8 +25,8 @@ pub struct PhaseTimes {
     /// loop reaches (systems are built one at a time, on demand).
     pub dnf: TimingHistogram,
     /// Fourier–Motzkin elimination across a goal's disjunct systems,
-    /// without the time spent building them; includes the Omega fallback
-    /// and any witness search, which is also recorded separately.
+    /// without the time spent building them; includes any witness search,
+    /// which is also recorded separately.
     pub elimination: TimingHistogram,
     /// Bounded exhaustive counterexample search on refutation candidates.
     pub witness_search: TimingHistogram,

@@ -100,7 +100,7 @@ pub enum RefuteResult {
     /// (after tightening) is satisfiable, so the system *may* have integer
     /// solutions. Fail-safe: the goal is not proven.
     PossiblySat,
-    /// Structural resource limits (working-set size, `max_combinations`)
+    /// Structural resource limits (working-set size, pair combinations)
     /// hit; treated like [`RefuteResult::PossiblySat`].
     Overflow,
     /// The caller-supplied fuel budget ran out (see [`FuelMeter`]).
@@ -170,23 +170,11 @@ impl FuelMeter {
     }
 }
 
-/// Tuning knobs for Fourier–Motzkin elimination.
-#[derive(Debug, Clone, Copy)]
-pub struct FourierOptions {
-    /// Apply integer tightening after every combination (the paper's
-    /// extension of Fourier's method). Disable for the ablation bench.
-    pub tighten: bool,
-    /// Abort when the working set exceeds this many inequalities.
-    pub max_ineqs: usize,
-    /// Abort after this many pair combinations.
-    pub max_combinations: usize,
-}
-
-impl Default for FourierOptions {
-    fn default() -> Self {
-        FourierOptions { tighten: true, max_ineqs: 50_000, max_combinations: 2_000_000 }
-    }
-}
+/// Elimination gives up with [`RefuteResult::Overflow`] when the working
+/// set exceeds this many inequalities …
+const MAX_INEQS: usize = 50_000;
+/// … or after this many pair combinations.
+const MAX_COMBINATIONS: usize = 2_000_000;
 
 /// Trace sink handed to [`System::refute_traced`]: a per-goal event buffer
 /// plus the stable variable-name map used in emitted events.
@@ -269,16 +257,19 @@ impl System {
     }
 
     /// Attempts to refute the system (prove it has no integer solution) by
-    /// Fourier–Motzkin elimination with optional integer tightening.
+    /// Fourier–Motzkin elimination, with integer tightening when `tighten`
+    /// is set.
     ///
     /// Returns the result together with the number of pair combinations
     /// performed (for solver statistics). Equivalent to
-    /// [`System::refute_budgeted`] with an unlimited [`FuelMeter`].
-    pub fn refute(&self, opts: &FourierOptions) -> (RefuteResult, usize) {
-        self.refute_budgeted(opts, &mut FuelMeter::unlimited())
+    /// [`System::refute_traced`] with an unlimited [`FuelMeter`] and no
+    /// trace sink.
+    pub fn refute(&self, tighten: bool) -> (RefuteResult, usize) {
+        self.refute_traced(tighten, &mut FuelMeter::unlimited(), None)
     }
 
-    /// [`System::refute`] under a caller-supplied resource budget.
+    /// [`System::refute`] under a caller-supplied resource budget, with an
+    /// optional trace sink.
     ///
     /// The meter is charged once per pair combination *before* the
     /// combination is performed, so a meter with `fuel = 0` cannot do any
@@ -286,15 +277,6 @@ impl System {
     /// still detected — they cost nothing). The same meter can be shared
     /// across the disjunct systems of one goal to give the goal a single
     /// overall budget.
-    pub fn refute_budgeted(
-        &self,
-        opts: &FourierOptions,
-        meter: &mut FuelMeter,
-    ) -> (RefuteResult, usize) {
-        self.refute_traced(opts, meter, None)
-    }
-
-    /// [`System::refute_budgeted`] with an optional trace sink.
     ///
     /// When `trace` is supplied, every tightening pass, elimination round
     /// (with its combined-pair count), and derived contradiction is pushed
@@ -303,14 +285,14 @@ impl System {
     /// identical elimination — tracing only observes.
     pub fn refute_traced(
         &self,
-        opts: &FourierOptions,
+        tighten: bool,
         meter: &mut FuelMeter,
         mut trace: Option<&mut RefuteTrace<'_>>,
     ) -> (RefuteResult, usize) {
         let mut work: Vec<Ineq> = Vec::with_capacity(self.ineqs.len());
         let mut input_tightened = 0u64;
         for i in &self.ineqs {
-            let i = if opts.tighten {
+            let i = if tighten {
                 let t = i.tighten();
                 if t != *i {
                     input_tightened += 1;
@@ -392,7 +374,7 @@ impl System {
                     }
                     combinations += 1;
                     round_pairs += 1;
-                    if combinations > opts.max_combinations {
+                    if combinations > MAX_COMBINATIONS {
                         emit_round(&mut trace, round_pairs, round_tightened);
                         return (RefuteResult::Overflow, combinations);
                     }
@@ -402,7 +384,7 @@ impl System {
                     let combined = up.linear().scale(b).add(&lo.linear().scale(a));
                     debug_assert_eq!(combined.coeff(&target), 0);
                     let mut ineq = Ineq::le_zero(combined);
-                    if opts.tighten {
+                    if tighten {
                         let t = ineq.tighten();
                         if t != ineq {
                             round_tightened += 1;
@@ -422,7 +404,7 @@ impl System {
                 }
             }
             emit_round(&mut trace, round_pairs, round_tightened);
-            if rest.len() > opts.max_ineqs {
+            if rest.len() > MAX_INEQS {
                 return (RefuteResult::Overflow, combinations);
             }
             // Deduplicate to keep the working set small. The structural
@@ -539,7 +521,7 @@ mod tests {
         // x ≤ 0 and x ≥ 1.
         s.push(Ineq::le(lv(&x), k(0)));
         s.push(Ineq::le(k(1), lv(&x)));
-        let (r, _) = s.refute(&FourierOptions::default());
+        let (r, _) = s.refute(true);
         assert_eq!(r, RefuteResult::Refuted);
     }
 
@@ -553,7 +535,7 @@ mod tests {
         s.push(Ineq::le(k(0), lv(&x)));
         s.push(Ineq::le(lv(&x), lv(&y)));
         s.push(Ineq::le(lv(&y), k(10)));
-        let (r, _) = s.refute(&FourierOptions::default());
+        let (r, _) = s.refute(true);
         assert_eq!(r, RefuteResult::PossiblySat);
     }
 
@@ -565,9 +547,9 @@ mod tests {
         let mut s = System::new();
         s.push(Ineq::le(k(1), lv(&x).scale(2)));
         s.push(Ineq::le(lv(&x).scale(2), k(1)));
-        let with = s.refute(&FourierOptions::default()).0;
+        let with = s.refute(true).0;
         assert_eq!(with, RefuteResult::Refuted);
-        let without = s.refute(&FourierOptions { tighten: false, ..FourierOptions::default() }).0;
+        let without = s.refute(false).0;
         assert_eq!(without, RefuteResult::PossiblySat);
     }
 
@@ -578,7 +560,7 @@ mod tests {
         let mut s = System::new();
         s.push_eq(lv(&x), k(3));
         s.push(Ineq::le(lv(&x), k(2)));
-        let (r, _) = s.refute(&FourierOptions::default());
+        let (r, _) = s.refute(true);
         assert_eq!(r, RefuteResult::Refuted);
     }
 
@@ -590,7 +572,7 @@ mod tests {
         let mut s = System::new();
         s.push(Ineq::lt(lv(&x), k(1)));
         s.push(Ineq::lt(k(0), lv(&x)));
-        let (r, _) = s.refute(&FourierOptions::default());
+        let (r, _) = s.refute(true);
         assert_eq!(r, RefuteResult::Refuted);
     }
 
@@ -604,7 +586,7 @@ mod tests {
             s.push(Ineq::le(lv(&w[0]), lv(&w[1])));
         }
         s.push(Ineq::le(lv(&vars[5]).add(&k(1)), lv(&vars[0])));
-        let (r, _) = s.refute(&FourierOptions::default());
+        let (r, _) = s.refute(true);
         assert_eq!(r, RefuteResult::Refuted);
     }
 
@@ -626,14 +608,14 @@ mod tests {
     #[test]
     fn empty_system_possibly_sat() {
         let s = System::new();
-        assert_eq!(s.refute(&FourierOptions::default()).0, RefuteResult::PossiblySat);
+        assert_eq!(s.refute(true).0, RefuteResult::PossiblySat);
     }
 
     #[test]
     fn contradiction_on_input_detected_immediately() {
         let mut s = System::new();
         s.push(Ineq::le(k(1), k(0)));
-        let (r, combos) = s.refute(&FourierOptions::default());
+        let (r, combos) = s.refute(true);
         assert_eq!(r, RefuteResult::Refuted);
         assert_eq!(combos, 0);
     }
@@ -655,15 +637,14 @@ mod tests {
         let mut s = System::new();
         s.push(Ineq::le(lv(&x), k(0)));
         s.push(Ineq::le(k(1), lv(&x)));
-        let opts = FourierOptions::default();
         let mut dry = FuelMeter::new(Some(0), None);
-        assert_eq!(s.refute_budgeted(&opts, &mut dry).0, RefuteResult::FuelExhausted);
+        assert_eq!(s.refute_traced(true, &mut dry, None).0, RefuteResult::FuelExhausted);
 
         let mut contradiction = System::new();
         contradiction.push(Ineq::le(k(1), k(0)));
         let mut dry = FuelMeter::new(Some(0), None);
         assert_eq!(
-            contradiction.refute_budgeted(&opts, &mut dry).0,
+            contradiction.refute_traced(true, &mut dry, None).0,
             RefuteResult::Refuted,
             "input contradictions cost nothing"
         );
@@ -680,14 +661,13 @@ mod tests {
             s.push(Ineq::le(lv(&w[0]), lv(&w[1])));
         }
         s.push(Ineq::le(lv(&vars[5]).add(&k(1)), lv(&vars[0])));
-        let opts = FourierOptions::default();
-        let (full, combos) = s.refute(&opts);
+        let (full, combos) = s.refute(true);
         assert_eq!(full, RefuteResult::Refuted);
         assert!(combos > 0);
         let mut results = Vec::new();
         for fuel in 0..=combos as u64 + 2 {
             let mut m = FuelMeter::new(Some(fuel), None);
-            results.push(s.refute_budgeted(&opts, &mut m).0);
+            results.push(s.refute_traced(true, &mut m, None).0);
         }
         for (fuel, r) in results.iter().enumerate() {
             if fuel < combos {
@@ -707,12 +687,11 @@ mod tests {
         let mut s = System::new();
         s.push(Ineq::le(k(1), lv(&x)));
         s.push(Ineq::le(lv(&x), k(0)));
-        let opts = FourierOptions::default();
-        let (_, one) = s.refute(&opts);
+        let (_, one) = s.refute(true);
         assert!(one > 0);
         // Enough fuel for exactly one refutation, shared across two.
         let mut m = FuelMeter::new(Some(one as u64), None);
-        assert_eq!(s.refute_budgeted(&opts, &mut m).0, RefuteResult::Refuted);
-        assert_eq!(s.refute_budgeted(&opts, &mut m).0, RefuteResult::FuelExhausted);
+        assert_eq!(s.refute_traced(true, &mut m, None).0, RefuteResult::Refuted);
+        assert_eq!(s.refute_traced(true, &mut m, None).0, RefuteResult::FuelExhausted);
     }
 }

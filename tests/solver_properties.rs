@@ -8,7 +8,7 @@
 use dml_index::{IExp, Linear, Prop, Sort, Var, VarGen};
 use dml_repro::qc::Rng;
 use dml_solver::exhaustive;
-use dml_solver::system::{FourierOptions, Ineq, RefuteResult, System};
+use dml_solver::system::{Ineq, RefuteResult, System};
 
 /// A small random system over `nvars` variables with coefficients and
 /// constants in [-4, 4].
@@ -34,7 +34,7 @@ fn refutation_implies_no_small_solution() {
     let mut rng = Rng::new(0xF00D);
     for _ in 0..256 {
         let sys = random_system(&mut rng, 3, 5);
-        let (result, _) = sys.refute(&FourierOptions::default());
+        let (result, _) = sys.refute(true);
         if result == RefuteResult::Refuted {
             assert!(
                 exhaustive::find_solution(&sys, 8).is_none(),
@@ -51,7 +51,7 @@ fn satisfiable_systems_never_refuted() {
     for _ in 0..256 {
         let sys = random_system(&mut rng, 3, 5);
         if let Some(solution) = exhaustive::find_solution(&sys, 4) {
-            let (result, _) = sys.refute(&FourierOptions::default());
+            let (result, _) = sys.refute(true);
             assert_ne!(result, RefuteResult::Refuted, "system {sys} has solution {solution:?}");
         }
     }
@@ -111,8 +111,8 @@ fn tightening_is_monotone() {
     let mut rng = Rng::new(0xACE5);
     for _ in 0..256 {
         let sys = random_system(&mut rng, 2, 4);
-        let with = sys.refute(&FourierOptions::default()).0;
-        let without = sys.refute(&FourierOptions { tighten: false, ..Default::default() }).0;
+        let with = sys.refute(true).0;
+        let without = sys.refute(false).0;
         if without == RefuteResult::Refuted {
             assert_eq!(with, RefuteResult::Refuted, "system: {sys}");
         }
@@ -128,15 +128,15 @@ fn strict_vs_nonstrict_encoding() {
     let mut base = System::new();
     base.push(Ineq::lt(Linear::var(x.clone()), Linear::constant(1)));
     base.push(Ineq::lt(Linear::constant(-1), Linear::var(x.clone())));
-    assert_eq!(base.refute(&FourierOptions::default()).0, RefuteResult::PossiblySat);
+    assert_eq!(base.refute(true).0, RefuteResult::PossiblySat);
 
     let mut lt = base.clone();
     lt.push(Ineq::lt(Linear::var(x.clone()), Linear::constant(0)));
-    assert_eq!(lt.refute(&FourierOptions::default()).0, RefuteResult::Refuted);
+    assert_eq!(lt.refute(true).0, RefuteResult::Refuted);
 
     let mut gt = base.clone();
     gt.push(Ineq::lt(Linear::constant(0), Linear::var(x)));
-    assert_eq!(gt.refute(&FourierOptions::default()).0, RefuteResult::Refuted);
+    assert_eq!(gt.refute(true).0, RefuteResult::Refuted);
 }
 
 /// Full-pipeline property: a guarded random access always verifies, and the
