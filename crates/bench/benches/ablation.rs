@@ -5,13 +5,15 @@
 //! variant proves: `bcopy` *requires* tightening (its tail-loop bound
 //! `0 ≤ 4·(n div 4)` is only integer-valid), reproducing the paper's remark
 //! that the tightening transformation "is used in type-checking an
-//! optimized byte copy function".
+//! optimized byte copy function". Then each program's cold compile is
+//! timed with and without tightening, alternating within every round.
+//!
+//! Flags (after `--`): `--smoke` times one round per program.
 
 use dml::experiments::{bench_source, benchmarks};
 use dml::Compiler;
-use dml_bench::bench;
+use dml_bench::{sample, timed, Args};
 use dml_solver::SolverOptions;
-use std::hint::black_box;
 
 fn options(tighten: bool) -> SolverOptions {
     SolverOptions::default().with_tighten(tighten)
@@ -35,17 +37,19 @@ fn print_summary() {
 }
 
 fn main() {
+    let args = Args::from_env();
+    let (warmup, n) = args.rounds(1, 10);
     print_summary();
     for b in benchmarks() {
         let src = bench_source(&b.program);
-        for (label, tighten) in [("with", true), ("without", false)] {
-            bench("ablation_tightening", &format!("{}/{label}", b.program.name), 1, 10, || {
-                let compiled = Compiler::new()
-                    .solver_options(options(tighten))
-                    .compile(black_box(&src))
-                    .expect("compiles");
-                compiled.stats().solver.fm_combinations
-            });
+        let compile = |tighten: bool| {
+            timed(|| {
+                Compiler::new().solver_options(options(tighten)).compile(&src).expect("compiles")
+            })
+        };
+        let spreads = sample(warmup, n, || [compile(true), compile(false)]);
+        for (label, spread) in ["with", "without"].iter().zip(spreads) {
+            println!("ablation_tightening/{}/{label}: {spread}", b.program.name);
         }
     }
 }

@@ -1,16 +1,16 @@
 //! Tables 2–3 on real hardware: native code with checks vs. without.
 //!
-//! Where `table2_3.rs` reproduces the paper's numbers under the
-//! interpreter's per-check *cost model*, this harness measures the real
-//! thing: each seed benchmark is compiled twice with `dml-emit` — once
+//! Each seed benchmark is compiled twice with `dml-emit` — once
 //! all-checked, once with proven sites unchecked — built with
 //! `cargo build --release`, and timed on the machine the harness runs on.
 //! Both binaries are driven with identical argv (same sizes, same RNG
 //! seed), their stdout is diffed byte-for-byte (the differential safety
 //! check), and the inner-loop `time_ns` each binary reports on stderr is
-//! compared best-of-N.
+//! sampled over alternating runs: every round runs both variants, and the
+//! variant that goes first alternates from round to round, so drift on a
+//! shared host hits both alike.
 //!
-//! Flags:
+//! Flags (after `--`):
 //!
 //! * `--smoke` — tiny sizes, one run per binary (CI smoke mode);
 //! * `--json`  — additionally write `BENCH_native.json` at the repo root.
@@ -19,13 +19,14 @@
 //! dependency-free, so the builds work offline.
 
 use dml::pipeline::Compiler;
+use dml_bench::{sample, write_report, Args};
 use dml_emit::{emit_program, EmitOptions, Variant};
 use dml_obs::json::{obj, Json};
 use dml_types::infer::infer_program;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::Duration;
 
-const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_native.json");
 const EMIT_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/native_tables");
 
 /// Per-program workload: (name, full size, full iters, smoke size, smoke
@@ -47,10 +48,8 @@ const WORKLOADS: &[(&str, i64, i64, i64, i64)] = &[
 const SEED: u64 = 0xDA7A5EED;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let write_json = args.iter().any(|a| a == "--json");
-    let runs = if smoke { 1 } else { 3 };
+    let args = Args::from_env();
+    let (warmup, n) = args.rounds(1, 15);
 
     let emit_root = PathBuf::from(EMIT_DIR);
     let target_dir = emit_root.join("target");
@@ -61,13 +60,10 @@ fn main() {
 
     let mut rows = Vec::new();
     for p in &programs {
-        let Some(&(_, full_size, full_iters, smoke_size, smoke_iters)) =
-            WORKLOADS.iter().find(|w| w.0 == p.name)
-        else {
-            eprintln!("skipping {}: no workload entry", p.name);
-            continue;
-        };
-        let (size, iters) = if smoke { (smoke_size, smoke_iters) } else { (full_size, full_iters) };
+        let &(_, full_size, full_iters, smoke_size, smoke_iters) =
+            WORKLOADS.iter().find(|w| w.0 == p.name).expect("every program has a workload");
+        let (size, iters) =
+            if args.smoke { (smoke_size, smoke_iters) } else { (full_size, full_iters) };
 
         // Compile once; emit both variants from the same verdicts.
         let compiled = Compiler::new()
@@ -79,35 +75,43 @@ fn main() {
         let sites = compiled.site_verdicts();
         let proven = sites.iter().filter(|s| s.proven).count();
 
-        let mut times = [u128::MAX, u128::MAX]; // [checked, unchecked]
+        let bins = [(Variant::Checked, "checked"), (Variant::UncheckedProven, "unchecked")].map(
+            |(variant, tag)| {
+                let crate_name = format!("{}_{tag}", dml_emit::sanitize_crate_name(p.name));
+                let opts = EmitOptions { variant, crate_name: crate_name.clone() };
+                let emitted =
+                    emit_program(compiled.program(), compiled.env(), &schemes, &sites, &opts)
+                        .unwrap_or_else(|e| panic!("{}: emission failed: {e}", p.name));
+                assert!(
+                    emitted.driver_fallback.is_none(),
+                    "{}: no benchmark driver: {:?}",
+                    p.name,
+                    emitted.driver_fallback
+                );
+                let dir = emit_root.join(&crate_name);
+                dml_emit::write_crate(&emitted, &dir).expect("write emitted crate");
+                build_release(&cargo, &dir, &target_dir, p.name);
+                target_dir.join("release").join(&crate_name)
+            },
+        );
+
         let mut outputs: [Option<String>; 2] = [None, None];
-        for (vi, variant) in [Variant::Checked, Variant::UncheckedProven].iter().enumerate() {
-            let tag = if vi == 0 { "checked" } else { "unchecked" };
-            let crate_name = format!("{}_{tag}", dml_emit::sanitize_crate_name(p.name));
-            let opts = EmitOptions { variant: *variant, crate_name: crate_name.clone() };
-            let emitted = emit_program(compiled.program(), compiled.env(), &schemes, &sites, &opts)
-                .unwrap_or_else(|e| panic!("{}: emission failed: {e}", p.name));
-            assert!(
-                emitted.driver_fallback.is_none(),
-                "{}: no benchmark driver: {:?}",
-                p.name,
-                emitted.driver_fallback
-            );
-            let dir = emit_root.join(&crate_name);
-            dml_emit::write_crate(&emitted, &dir).expect("write emitted crate");
-            build_release(&cargo, &dir, &target_dir, p.name);
-            let bin = target_dir.join("release").join(&crate_name);
-            for _ in 0..runs {
-                let (stdout, time_ns) = run_once(&bin, size, iters, p.name);
+        let mut round = 0;
+        let spreads = sample(warmup, n, || {
+            let mut times = [Duration::ZERO; 2];
+            for vi in if round % 2 == 0 { [0, 1] } else { [1, 0] } {
+                let (stdout, time) = run_once(&bins[vi], size, iters, p.name);
                 match &outputs[vi] {
                     None => outputs[vi] = Some(stdout),
                     Some(prev) => {
                         assert_eq!(prev, &stdout, "{}: nondeterministic output across runs", p.name)
                     }
                 }
-                times[vi] = times[vi].min(time_ns);
+                times[vi] = time;
             }
-        }
+            round += 1;
+            times
+        });
         // The differential check: byte-identical stdout across variants.
         assert_eq!(
             outputs[0], outputs[1],
@@ -115,15 +119,12 @@ fn main() {
             p.name
         );
 
-        let (c, u) = (times[0], times[1]);
-        let speedup = if c > 0 { (c as f64 - u as f64) / c as f64 * 100.0 } else { 0.0 };
+        let (c, u) = (spreads[0], spreads[1]);
+        let gain = if c.median > 0.0 { (c.median - u.median) / c.median * 100.0 } else { 0.0 };
         println!(
-            "native_tables/{}: checked {:.3} ms, unchecked {:.3} ms, gain {:+.1}%  ({} of {} sites proven)",
+            "native_tables/{}: checked {c}; unchecked {u}; gain {gain:+.1}% \
+             ({proven} of {} sites proven)",
             p.name,
-            c as f64 / 1e6,
-            u as f64 / 1e6,
-            speedup,
-            proven,
             sites.len()
         );
         rows.push(obj([
@@ -132,23 +133,13 @@ fn main() {
             ("iters", Json::Int(iters)),
             ("sites_total", Json::Int(sites.len() as i64)),
             ("sites_proven", Json::Int(proven as i64)),
-            ("checked_ns", Json::Int(c as i64)),
-            ("unchecked_ns", Json::Int(u as i64)),
-            ("gain_pct", Json::Num((speedup * 10.0).round() / 10.0)),
+            ("checked_ms", c.to_json()),
+            ("unchecked_ms", u.to_json()),
+            ("gain_pct", Json::Num((gain * 10.0).round() / 10.0)),
         ]));
     }
 
-    if write_json {
-        let report = obj([
-            ("bench", Json::Str("native_tables".to_string())),
-            ("smoke", Json::Bool(smoke)),
-            ("runs_per_variant", Json::Int(runs as i64)),
-            ("seed", Json::Int(SEED as i64)),
-            ("programs", Json::Array(rows)),
-        ]);
-        std::fs::write(REPORT_PATH, report.render() + "\n").expect("write BENCH_native.json");
-        println!("wrote {REPORT_PATH}");
-    }
+    write_report(&args, "native", "native_tables", Some(SEED), [("programs", Json::Array(rows))]);
 }
 
 fn build_release(cargo: &str, dir: &Path, target_dir: &Path, name: &str) {
@@ -165,8 +156,8 @@ fn build_release(cargo: &str, dir: &Path, target_dir: &Path, name: &str) {
     );
 }
 
-/// Runs one emitted binary; returns (stdout, inner-loop nanoseconds).
-fn run_once(bin: &Path, size: i64, iters: i64, name: &str) -> (String, u128) {
+/// Runs one emitted binary; returns (stdout, inner-loop time).
+fn run_once(bin: &Path, size: i64, iters: i64, name: &str) -> (String, Duration) {
     let out = Command::new(bin)
         .args([size.to_string(), iters.to_string(), SEED.to_string()])
         .output()
@@ -180,7 +171,7 @@ fn run_once(bin: &Path, size: i64, iters: i64, name: &str) -> (String, u128) {
     let time_ns = stderr
         .lines()
         .find_map(|l| l.strip_prefix("time_ns "))
-        .and_then(|v| v.trim().parse::<u128>().ok())
+        .and_then(|v| v.trim().parse::<u64>().ok())
         .unwrap_or_else(|| panic!("{name}: no time_ns on stderr:\n{stderr}"));
-    (String::from_utf8_lossy(&out.stdout).into_owned(), time_ns)
+    (String::from_utf8_lossy(&out.stdout).into_owned(), Duration::from_nanos(time_ns))
 }

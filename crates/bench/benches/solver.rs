@@ -1,7 +1,9 @@
 //! Solver micro-benchmarks: Fourier–Motzkin refutation on the paper's
 //! Figure-4-style constraints and on synthetic systems of varying size.
+//!
+//! Flags (after `--`): `--smoke` times one round per constraint.
 
-use dml_bench::bench;
+use dml_bench::{sample, timed, Args};
 use dml_index::{Constraint, IExp, Prop, Sort, VarGen};
 use dml_solver::{Solver, SolverOptions};
 use std::hint::black_box;
@@ -53,25 +55,26 @@ fn chain_constraint(gen: &mut VarGen, n: usize) -> Constraint {
 }
 
 fn main() {
-    {
-        let mut gen = VarGen::new();
-        let constraint = bsearch_constraint(&mut gen);
-        let solver = Solver::new(SolverOptions::default());
-        bench("solver", "bsearch_midpoint", 5, 50, || {
-            let outcome = solver.prove(black_box(&constraint), &mut gen);
-            assert!(outcome.all_proven());
-            outcome.stats.fm_combinations
-        });
-    }
-
+    let args = Args::from_env();
+    let mut gen = VarGen::new();
+    let midpoint = bsearch_constraint(&mut gen);
+    run("bsearch_midpoint", args.rounds(5, 50), &midpoint, gen);
     for n in [4usize, 8, 16, 32] {
         let mut gen = VarGen::new();
-        let constraint = chain_constraint(&mut gen, n);
-        let solver = Solver::new(SolverOptions::default());
-        bench("solver", &format!("transitivity_chain/{n}"), 3, 20, || {
-            let outcome = solver.prove(black_box(&constraint), &mut gen);
+        let chain = chain_constraint(&mut gen, n);
+        run(&format!("transitivity_chain/{n}"), args.rounds(3, 20), &chain, gen);
+    }
+}
+
+/// Times proving `constraint` with one solver, `(warmup, n)` rounds.
+fn run(name: &str, (warmup, n): (usize, usize), constraint: &Constraint, mut gen: VarGen) {
+    let solver = Solver::new(SolverOptions::default());
+    let spread = sample(warmup, n, || {
+        [timed(|| {
+            let outcome = solver.prove(black_box(constraint), &mut gen);
             assert!(outcome.all_proven());
             outcome.stats.fm_combinations
-        });
-    }
+        })]
+    })[0];
+    println!("solver/{name}: {spread}");
 }

@@ -3,13 +3,13 @@
 //! report.
 //!
 //! Flags (after `--`):
-//! * `--smoke` — one iteration per measurement (CI smoke mode);
+//! * `--smoke` — one round per measurement (CI smoke mode);
 //! * `--json`  — additionally write `BENCH_solver.json` at the repo root;
 //! * `--assert-ablation` — exit nonzero if the `workers=auto, cache=true`
 //!   ablation row regresses against `workers=1, cache=true` (the CI guard
-//!   that keeps the parallel solver a net win). "Regresses" means *not
-//!   strictly faster* where the machine has parallelism to exploit; on a
-//!   single-core runner — where `workers=auto` resolves to the sequential
+//!   that keeps the parallel solver a net win). "Regresses" means a median
+//!   *not strictly faster* where the machine has parallelism to exploit; on
+//!   a single-core runner — where `workers=auto` resolves to the sequential
 //!   path and a strict win is physically meaningless — it means more than
 //!   5% slower (the parallel plumbing must cost nothing).
 //!
@@ -17,12 +17,13 @@
 //! cache), so it measures a genuinely cold compile; "warm" compiles
 //! against a solver that already solved the same program, so every
 //! cacheable goal is answered from the verdict cache (generation runs in
-//! full either way, so only the cold generation time is reported). The solver's
-//! persistent worker pool is prewarmed up front — its one-time thread
-//! spawn is process state, not per-compile cost (`pool_helpers` in the
-//! report records the helper count). The lint section runs the lint pass
-//! twice on the compile's own solver and reports the second pass's hit
-//! rate (its entailment queries repeat exactly).
+//! full either way, so only the cold generation time is reported). Every
+//! round compiles the whole suite, so each program's times and the suite
+//! totals come from the same rounds. The solver's persistent worker pool
+//! is prewarmed up front — its one-time thread spawn is process state, not
+//! per-compile cost. The lint section runs the lint pass twice on the
+//! compile's own solver and reports the second pass's hit rate (its
+//! entailment queries repeat exactly).
 //!
 //! The daemon section compares a fresh `dmlc check` process per compile
 //! against one warm `dmlc serve` daemon answering the same checks over
@@ -31,75 +32,74 @@
 //! the binary isn't built.
 
 use dml::experiments::{bench_source, benchmarks};
-use dml::Compiler;
-use dml_bench::bench_timed;
+use dml::{CompileStats, Compiler};
+use dml_bench::{hit_rate, sample, timed, write_report, Args, Spread};
 use dml_obs::json::{obj, Json};
 use dml_solver::{Solver, SolverOptions};
 use std::time::Duration;
 
-const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let write_json = args.iter().any(|a| a == "--json");
-    let assert_ablation = args.iter().any(|a| a == "--assert-ablation");
-    let (warmup, iters) = if smoke { (0, 1) } else { (1, 5) };
+    let args = Args::from_env();
+    let (warmup, n) = args.rounds(1, 5);
 
     // The worker pool is process state: spawn it once up front so no
     // single measurement eats the one-time thread-spawn cost.
     let pool_helpers = dml_solver::pool::prewarm();
+    let sources: Vec<(&str, String)> =
+        benchmarks().iter().map(|b| (b.program.name, bench_source(&b.program))).collect();
+    let k = sources.len();
+    let compile_all = |compiler: &dyn Fn(usize) -> Compiler| -> Vec<CompileStats> {
+        let stats = |(i, (_, src)): (usize, &(&str, String))| {
+            compiler(i).compile(src).expect("compiles").stats().clone()
+        };
+        sources.iter().enumerate().map(stats).collect()
+    };
+
+    // Cold: a fresh solver (empty verdict cache) for every compile. A
+    // round reports each program's generation and solve time, then the
+    // two suite totals.
+    let mut cold_stats = Vec::new();
+    let cold = sample(warmup, n, || {
+        cold_stats = compile_all(&|_| Compiler::new());
+        let gen: Vec<Duration> = cold_stats.iter().map(|s| s.generation_time).collect();
+        let solve: Vec<Duration> = cold_stats.iter().map(|s| s.solve_time).collect();
+        let totals = vec![gen.iter().sum(), solve.iter().sum()];
+        [gen, solve, totals].concat()
+    });
+    let (cold_gen, rest) = cold.split_at(k);
+    let (cold_solve, cold_totals) = rest.split_at(k);
+
+    // Warm: per program, a shared solver primed by one untimed compile.
+    let shared: Vec<Solver> = sources
+        .iter()
+        .map(|(_, src)| {
+            let solver = Solver::new(SolverOptions::default());
+            Compiler::new().with_solver(&solver).compile(src).expect("compiles");
+            solver
+        })
+        .collect();
+    let mut warm_stats = Vec::new();
+    let warm = sample(warmup, n, || {
+        warm_stats = compile_all(&|i| Compiler::new().with_solver(&shared[i]));
+        let mut solve: Vec<Duration> = warm_stats.iter().map(|s| s.solve_time).collect();
+        solve.push(solve.iter().sum());
+        solve
+    });
+    let (warm_solve, warm_total) = warm.split_at(k);
 
     let mut rows = Vec::new();
-    let mut total_gen_cold = Duration::ZERO;
-    let mut total_cold = Duration::ZERO;
-    let mut total_warm = Duration::ZERO;
-
-    for b in benchmarks() {
-        let name = b.program.name;
-        let src = bench_source(&b.program);
-
-        // Cold: fresh solver (empty verdict cache) every compile.
-        let mut cold = None::<dml::CompileStats>;
-        bench_timed("solver_cache", &format!("{name}/cold"), warmup, iters, || {
-            let c = Compiler::new().compile(&src).expect("compiles");
-            let s = c.stats().clone();
-            if cold.as_ref().is_none_or(|best| s.solve_time < best.solve_time) {
-                cold = Some(s);
-            }
-        });
-        let cold = cold.expect("at least one cold run");
-
-        // Warm: a shared solver primed by one untimed compile.
-        let shared = Solver::new(SolverOptions::default());
-        Compiler::new().with_solver(&shared).compile(&src).expect("compiles");
-        let mut warm = None::<dml::CompileStats>;
-        bench_timed("solver_cache", &format!("{name}/warm"), warmup, iters, || {
-            let c = Compiler::new().with_solver(&shared).compile(&src).expect("compiles");
-            let s = c.stats().clone();
-            if warm.as_ref().is_none_or(|best| s.solve_time < best.solve_time) {
-                warm = Some(s);
-            }
-        });
-        let warm = warm.expect("at least one warm run");
-
-        total_gen_cold += cold.generation_time;
-        total_cold += cold.solve_time;
-        total_warm += warm.solve_time;
-        let looked_up = warm.solver.cache_hits + warm.solver.cache_misses;
-        let warm_rate =
-            if looked_up == 0 { 0.0 } else { warm.solver.cache_hits as f64 / looked_up as f64 };
+    for (i, (name, _)) in sources.iter().enumerate() {
+        let (cold, warm) = (&cold_stats[i], &warm_stats[i]);
+        println!("solver_cache/{name}/cold: solve {}", cold_solve[i]);
+        println!("solver_cache/{name}/warm: solve {}", warm_solve[i]);
+        let warm_rate = hit_rate(warm.solver.cache_hits as u64, warm.solver.cache_misses as u64);
         rows.push(obj([
             ("name", Json::Str(name.to_string())),
             ("constraints", Json::Int(cold.constraints as i64)),
             ("goals", Json::Int(cold.goals as i64)),
-            ("gen_ms", Json::Num(ms(cold.generation_time))),
-            ("solve_cold_ms", Json::Num(ms(cold.solve_time))),
-            ("solve_warm_ms", Json::Num(ms(warm.solve_time))),
+            ("gen_ms", cold_gen[i].to_json()),
+            ("solve_cold_ms", cold_solve[i].to_json()),
+            ("solve_warm_ms", warm_solve[i].to_json()),
             ("fm_combinations", Json::Int(cold.solver.fm_combinations as i64)),
             ("warm_cache_hit_rate", Json::Num(warm_rate)),
         ]));
@@ -107,63 +107,41 @@ fn main() {
 
     // Ablation: {workers 1 / auto} × {cache on / off}, total solve time
     // across the whole suite with one fresh solver per config+benchmark.
-    // Configs are measured *interleaved* (every round times all four
-    // back-to-back) so slow drift — thermal throttling, noisy container
-    // neighbours — hits each config equally instead of biasing whichever
-    // ran last; each config reports its best (minimum) round.
+    // Every round times all four configs back to back.
     let configs: [(Option<usize>, &str, bool); 4] =
         [(Some(1), "1", true), (Some(1), "1", false), (None, "auto", true), (None, "auto", false)];
-    let run_config = |workers: Option<usize>, cache: bool| {
-        let opts = SolverOptions::default().with_workers(workers).with_cache(cache);
-        let mut total = Duration::ZERO;
-        for b in benchmarks() {
-            let src = bench_source(&b.program);
-            let c = Compiler::new().solver_options(opts).compile(&src).expect("compiles");
-            total += c.stats().solve_time;
-        }
-        total
-    };
-    let mut best = [Duration::MAX; 4];
-    for round in 0..(warmup + iters) {
-        for (i, &(workers, _, cache)) in configs.iter().enumerate() {
-            let total = run_config(workers, cache);
-            if round >= warmup && total < best[i] {
-                best[i] = total;
-            }
-        }
-    }
-    let mut ablation = Vec::new();
-    let mut ablation_solve = std::collections::HashMap::new();
-    for (i, &(_, label, cache)) in configs.iter().enumerate() {
-        println!(
-            "solver_cache/ablation/workers={label},cache={cache}: min {:.3} ms ({iters} iters, interleaved)",
-            ms(best[i])
-        );
-        ablation_solve.insert((label, cache), best[i]);
-        ablation.push(obj([
+    let ablation = sample(warmup, n, || {
+        configs.map(|(workers, _, cache)| {
+            let opts = SolverOptions::default().with_workers(workers).with_cache(cache);
+            let stats = compile_all(&|_| Compiler::new().solver_options(opts));
+            stats.iter().map(|s| s.solve_time).sum::<Duration>()
+        })
+    });
+    let mut ablation_rows = Vec::new();
+    for (&(_, label, cache), spread) in configs.iter().zip(&ablation) {
+        println!("solver_cache/ablation/workers={label},cache={cache}: {spread}");
+        ablation_rows.push(obj([
             ("workers", Json::Str(label.to_string())),
             ("cache", Json::Bool(cache)),
-            ("solve_ms", Json::Num(ms(best[i]))),
+            ("solve_ms", spread.to_json()),
         ]));
     }
-    // The flip this PR exists for: parallel solving must be a net win over
-    // sequential on the very suite the paper reports. On a machine with no
-    // parallelism to exploit (`pool_helpers == 0`, i.e. one core),
-    // `workers=auto` resolves to the sequential path, so a *strict* win is
-    // physically meaningless there; the row instead asserts the parallel
-    // plumbing costs nothing (within a 5% noise allowance of sequential).
+    // Parallel solving must be a net win over sequential on the very suite
+    // the paper reports. On a machine with no parallelism to exploit
+    // (`pool_helpers == 0`, i.e. one core), `workers=auto` resolves to the
+    // sequential path, so a *strict* win is physically meaningless there;
+    // the row instead asserts the parallel plumbing costs nothing (within a
+    // 5% noise allowance of sequential).
     let parallelism_available = pool_helpers > 0;
-    let parallel_solve = ablation_solve[&("auto", true)];
-    let sequential_solve = ablation_solve[&("1", true)];
+    let (parallel_solve, sequential_solve) = (ablation[2].median, ablation[0].median);
     let parallel_strictly_faster = if parallelism_available {
         parallel_solve < sequential_solve
     } else {
-        parallel_solve <= sequential_solve.mul_f64(1.05)
+        parallel_solve <= sequential_solve * 1.05
     };
     println!(
-        "solver_cache/ablation: workers=auto {:.3} ms vs workers=1 {:.3} ms ({})",
-        ms(parallel_solve),
-        ms(sequential_solve),
+        "solver_cache/ablation: workers=auto {parallel_solve:.3} ms vs workers=1 \
+         {sequential_solve:.3} ms, medians ({})",
         match (parallelism_available, parallel_strictly_faster) {
             (true, true) => "parallel < sequential",
             (false, true) => "single core: parallel plumbing within noise of sequential",
@@ -174,24 +152,18 @@ fn main() {
     // Lint pass: the second run's entailment queries repeat the first's,
     // so with the compile's own solver they hit the shared cache.
     let (mut lint_hits, mut lint_misses) = (0u64, 0u64);
-    for b in benchmarks() {
-        let src = bench_source(&b.program);
-        let c = Compiler::new().compile(&src).expect("compiles");
+    for (_, src) in &sources {
+        let c = Compiler::new().compile(src).expect("compiles");
         let _ = c.lints(); // first pass warms lint-only entries
         let (h0, m0) = (c.solver().cache().hits(), c.solver().cache().misses());
         let _ = c.lints();
         lint_hits += c.solver().cache().hits() - h0;
         lint_misses += c.solver().cache().misses() - m0;
     }
-    let lint_rate = if lint_hits + lint_misses == 0 {
-        0.0
-    } else {
-        lint_hits as f64 / (lint_hits + lint_misses) as f64
-    };
+    let lint_rate = hit_rate(lint_hits, lint_misses);
     println!(
-        "solver_cache/lint: {} hits, {} misses ({:.0}% hit rate) on the repeated lint pass",
-        lint_hits,
-        lint_misses,
+        "solver_cache/lint: {lint_hits} hits, {lint_misses} misses ({:.0}% hit rate) on the \
+         repeated lint pass",
         lint_rate * 100.0
     );
 
@@ -200,7 +172,7 @@ fn main() {
     // is the number `dmlc serve` exists for: the daemon amortises process
     // startup, the goal cache, and per-file state across requests.
     let daemon = match find_dmlc() {
-        Some(dmlc) => bench_daemon(&dmlc, warmup, iters),
+        Some(dmlc) => bench_daemon(&dmlc, &sources, (warmup, n)),
         None => {
             println!(
                 "solver_cache/daemon: skipped (dmlc binary not found near the bench \
@@ -210,33 +182,32 @@ fn main() {
         }
     };
 
-    let warm_strictly_faster = total_warm < total_cold;
+    let (gen_total, cold_total, warm_total) = (cold_totals[0], cold_totals[1], warm_total[0]);
+    let warm_strictly_faster = warm_total.median < cold_total.median;
     println!(
-        "solver_cache/totals: gen {:.3} ms, solve cold {:.3} ms, solve warm {:.3} ms ({})",
-        ms(total_gen_cold),
-        ms(total_cold),
-        ms(total_warm),
+        "solver_cache/totals: gen {gen_total}; solve cold {cold_total}; solve warm {warm_total} \
+         ({})",
         if warm_strictly_faster { "warm < cold" } else { "WARM NOT FASTER" }
     );
 
-    if write_json {
-        let report = obj([
-            ("suite", Json::Str("solver_cache".to_string())),
-            ("smoke", Json::Bool(smoke)),
-            ("pool_helpers", Json::Int(pool_helpers as i64)),
-            ("parallelism_available", Json::Bool(parallelism_available)),
+    write_report(
+        &args,
+        "solver",
+        "solver_cache",
+        None,
+        [
             ("benchmarks", Json::Array(rows)),
             (
                 "totals",
                 obj([
-                    ("gen_ms", Json::Num(ms(total_gen_cold))),
-                    ("solve_cold_ms", Json::Num(ms(total_cold))),
-                    ("solve_warm_ms", Json::Num(ms(total_warm))),
+                    ("gen_ms", gen_total.to_json()),
+                    ("solve_cold_ms", cold_total.to_json()),
+                    ("solve_warm_ms", warm_total.to_json()),
                     ("warm_strictly_faster", Json::Bool(warm_strictly_faster)),
                     ("parallel_strictly_faster", Json::Bool(parallel_strictly_faster)),
                 ]),
             ),
-            ("ablation", Json::Array(ablation)),
+            ("ablation", Json::Array(ablation_rows)),
             ("daemon", daemon),
             (
                 "lint",
@@ -246,24 +217,16 @@ fn main() {
                     ("hit_rate", Json::Num(lint_rate)),
                 ]),
             ),
-        ]);
-        std::fs::write(REPORT_PATH, report.render() + "\n").expect("write BENCH_solver.json");
-        println!("wrote {REPORT_PATH}");
-    }
-
-    if assert_ablation && !parallel_strictly_faster {
-        report_ablation_failure(parallel_solve, sequential_solve);
-    }
-}
-
-fn report_ablation_failure(parallel_solve: Duration, sequential_solve: Duration) {
-    eprintln!(
-        "solver_cache: ablation regression — workers=auto ({:.3} ms) is not \
-         strictly faster than workers=1 ({:.3} ms) with the cache on",
-        ms(parallel_solve),
-        ms(sequential_solve)
+        ],
     );
-    std::process::exit(1);
+
+    if args.flag("--assert-ablation") && !parallel_strictly_faster {
+        eprintln!(
+            "solver_cache: ablation regression — workers=auto ({parallel_solve:.3} ms) is not \
+             strictly faster than workers=1 ({sequential_solve:.3} ms) with the cache on"
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Locates the release `dmlc` binary by walking up from the bench
@@ -281,49 +244,47 @@ fn find_dmlc() -> Option<std::path::PathBuf> {
 /// `dmlc serve` daemon over stdio, after a priming round, so requests land
 /// on a hot goal cache, worker pool, and per-file state: each re-check of
 /// an unchanged file replays its last report. Both sides include full
-/// request round-trip time.
-fn bench_daemon(dmlc: &std::path::Path, warmup: usize, iters: usize) -> Json {
+/// request round-trip time. A round reports every file, then the total.
+fn bench_daemon(
+    dmlc: &std::path::Path,
+    sources: &[(&str, String)],
+    (warmup, n): (usize, usize),
+) -> Json {
     use dml::serve::protocol::request_line;
     use std::io::{BufRead as _, BufReader, Write as _};
     use std::process::{Command, Stdio};
-    use std::time::Instant;
 
     let dir = std::env::temp_dir().join(format!("dml-bench-daemon-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench temp dir");
-    let files: Vec<(&str, std::path::PathBuf, String)> = benchmarks()
-        .into_iter()
-        .map(|b| {
-            let src = bench_source(&b.program);
-            let path = dir.join(format!("{}.dml", b.program.name));
-            std::fs::write(&path, &src).expect("write bench program");
-            (b.program.name, path, src)
+    let files: Vec<(&str, std::path::PathBuf, &str)> = sources
+        .iter()
+        .map(|(name, src)| {
+            let path = dir.join(format!("{name}.dml"));
+            std::fs::write(&path, src).expect("write bench program");
+            (*name, path, src.as_str())
         })
         .collect();
-    let rounds = (warmup + iters).max(1);
+    let with_total = |mut times: Vec<Duration>| {
+        times.push(times.iter().sum());
+        times
+    };
 
     // Cold: every check pays process startup + a from-scratch compile.
-    let mut cold_best = vec![Duration::MAX; files.len()];
-    let mut cold_total = Duration::MAX;
-    for round in 0..rounds {
-        let mut total = Duration::ZERO;
-        for (i, (name, path, _)) in files.iter().enumerate() {
-            let t0 = Instant::now();
-            let out = Command::new(dmlc).arg("check").arg(path).output().expect("dmlc runs");
-            let took = t0.elapsed();
-            assert!(
-                out.status.success(),
-                "dmlc check {name} failed: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            total += took;
-            if round >= warmup.min(rounds - 1) && took < cold_best[i] {
-                cold_best[i] = took;
-            }
-        }
-        if round >= warmup.min(rounds - 1) && total < cold_total {
-            cold_total = total;
-        }
-    }
+    let cold = sample(warmup, n, || {
+        with_total(
+            files
+                .iter()
+                .map(|(name, path, _)| {
+                    timed(|| {
+                        let out = Command::new(dmlc).arg("check").arg(path).output();
+                        let out = out.expect("dmlc runs");
+                        let stderr = String::from_utf8_lossy(&out.stderr);
+                        assert!(out.status.success(), "dmlc check {name} failed: {stderr}");
+                    })
+                })
+                .collect(),
+        )
+    });
 
     // Warm: one daemon, all requests over its stdio protocol.
     let mut child = Command::new(dmlc)
@@ -339,73 +300,61 @@ fn bench_daemon(dmlc: &std::path::Path, warmup: usize, iters: usize) -> Json {
     let mut ask = |method: &str, params: Vec<(&str, Json)>| -> (Duration, Json) {
         next_id += 1;
         let line = request_line(next_id, method, params);
-        let t0 = Instant::now();
-        stdin.write_all(line.as_bytes()).expect("write request");
         let mut response = String::new();
-        reader.read_line(&mut response).expect("read response");
-        let took = t0.elapsed();
+        let took = timed(|| {
+            stdin.write_all(line.as_bytes()).expect("write request");
+            reader.read_line(&mut response).expect("read response")
+        });
         let parsed = Json::parse(response.trim()).expect("daemon speaks JSON");
         assert!(parsed.get("error").is_none(), "daemon error: {response}");
         (took, parsed)
     };
-    let check_params = |name: &str, src: &str| {
+    let check = |name: &str, src: &str| {
         vec![("source", Json::Str(src.to_string())), ("path", Json::Str(name.to_string()))]
     };
     // Priming round: pays the daemon's own cold compiles, untimed — the
     // steady state being measured is "editor re-checks against a warm
     // service", not daemon boot.
     for (name, _, src) in &files {
-        let _ = ask("check", check_params(name, src));
+        ask("check", check(name, src));
     }
-    let mut warm_best = vec![Duration::MAX; files.len()];
-    let mut warm_total = Duration::MAX;
-    for _ in 0..rounds {
-        let mut total = Duration::ZERO;
-        for (i, (name, _, src)) in files.iter().enumerate() {
-            let (took, response) = ask("check", check_params(name, src));
+    let warm = sample(warmup, n, || {
+        let mut times = Vec::with_capacity(files.len() + 1);
+        for (name, _, src) in &files {
+            let (took, response) = ask("check", check(name, src));
+            times.push(took);
             let incremental =
                 response.get("result").and_then(|r| r.get("incremental")).and_then(Json::as_bool);
             assert_eq!(incremental, Some(true), "warm {name} re-check reuses verdicts");
-            total += took;
-            if took < warm_best[i] {
-                warm_best[i] = took;
-            }
         }
-        if total < warm_total {
-            warm_total = total;
-        }
-    }
-    let (_, _) = ask("shutdown", Vec::new());
+        with_total(times)
+    });
+    ask("shutdown", Vec::new());
     drop(stdin);
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut rows = Vec::new();
     for (i, (name, _, _)) in files.iter().enumerate() {
-        println!(
-            "solver_cache/daemon/{name}: cold process {:.3} ms, warm daemon {:.3} ms",
-            ms(cold_best[i]),
-            ms(warm_best[i])
-        );
+        println!("solver_cache/daemon/{name}: cold process {}; warm daemon {}", cold[i], warm[i]);
         rows.push(obj([
             ("name", Json::Str(name.to_string())),
-            ("cold_process_ms", Json::Num(ms(cold_best[i]))),
-            ("warm_daemon_ms", Json::Num(ms(warm_best[i]))),
+            ("cold_process_ms", cold[i].to_json()),
+            ("warm_daemon_ms", warm[i].to_json()),
         ]));
     }
+    let (cold_total, warm_total): (Spread, Spread) = (cold[files.len()], warm[files.len()]);
     let speedup =
-        if warm_total.is_zero() { f64::INFINITY } else { ms(cold_total) / ms(warm_total) };
+        if warm_total.median > 0.0 { cold_total.median / warm_total.median } else { f64::INFINITY };
     println!(
-        "solver_cache/daemon totals: cold process {:.3} ms, warm daemon {:.3} ms \
-         ({speedup:.1}x speedup; target >= 5x)",
-        ms(cold_total),
-        ms(warm_total)
+        "solver_cache/daemon totals: cold process {cold_total}; warm daemon {warm_total} \
+         ({speedup:.1}x speedup of the medians; target >= 5x)"
     );
     obj([
         ("available", Json::Bool(true)),
         ("benchmarks", Json::Array(rows)),
-        ("cold_process_ms", Json::Num(ms(cold_total))),
-        ("warm_daemon_ms", Json::Num(ms(warm_total))),
+        ("cold_process_ms", cold_total.to_json()),
+        ("warm_daemon_ms", warm_total.to_json()),
         ("daemon_speedup", Json::Num(speedup)),
     ])
 }

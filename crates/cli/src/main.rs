@@ -18,7 +18,7 @@
 //! dmlc shutdown --remote SOCKET  flush the daemon's caches and stop it
 //! dmlc fuzz [--seed S] [--iters N] [--scale] [--json]  differential solver fuzzer
 //! dmlc figure4                 print the paper's Figure 4 constraints
-//! dmlc table <1|2|3> [factor] [--timings]  regenerate an evaluation table
+//! dmlc table <1|2> [factor] [--timings]  regenerate an evaluation table
 //! dmlc table 1 --infer         Table 1 with annotations stripped + inferred
 //! ```
 //!
@@ -111,7 +111,7 @@ fn main() -> ExitCode {
                  dmlc shutdown --remote SOCKET\n\
                  dmlc fuzz [--seed S] [--iters N] [--bound B] [--json] [--infer] [--scale] [--repro-dir D] [--no-programs]\n\
                  dmlc figure4\n\
-                 dmlc table <1|2|3> [factor] [--timings] [--infer]\n\
+                 dmlc table <1|2> [factor] [--timings] [--infer]\n\
                  \n\
                  check/explain/infer also accept --remote SOCKET to run against a\n\
                  `dmlc serve --socket SOCKET` daemon (same output, warm caches)."
@@ -1004,9 +1004,8 @@ fn table(args: &[String]) -> ExitCode {
             }
         }
         "2" => print!("{}", experiments::table_rendered(&experiments::table2(factor))),
-        "3" => print!("{}", experiments::table_rendered(&experiments::table3(factor))),
         other => {
-            eprintln!("unknown table `{other}` (expected 1, 2, or 3)");
+            eprintln!("unknown table `{other}` (expected 1 or 2)");
             return ExitCode::FAILURE;
         }
     }

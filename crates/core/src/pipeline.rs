@@ -321,8 +321,8 @@ impl Compiled {
         self.machine_with(config)
     }
 
-    /// Builds an interpreter with a custom configuration (cost model,
-    /// validation); the proven-site set is filled in for eliminated mode.
+    /// Builds an interpreter with a custom configuration (e.g. validation);
+    /// the proven-site set is filled in for eliminated mode.
     pub fn machine_with(&self, mut config: CheckConfig) -> Machine {
         if config.mode == Mode::Eliminated {
             config.proven = self.proven_sites.clone();
@@ -475,8 +475,15 @@ impl Compiler {
     /// verdicts are queued until [`Compiler::flush_disk`]. A missing,
     /// stale, or corrupted file is ignored — persistence never fails a
     /// compile.
+    ///
+    /// The store's keys do not record tightening, so it is attached only
+    /// when the session solver tightens (the default). An untightened
+    /// session neither reads tightened verdicts nor writes its own.
     pub fn disk_cache(self, path: impl Into<std::path::PathBuf>) -> Compiler {
-        self.solver().cache().attach_disk(path);
+        let solver = self.solver();
+        if solver.options().tighten {
+            solver.cache().attach_disk(path);
+        }
         self
     }
 
@@ -1027,6 +1034,33 @@ where first <| {n:nat | n > 0} int array(n) -> int
         let warm = session.solver_options(untightened).compile(src).unwrap();
         let s = &warm.stats().solver;
         assert!(!warm.fully_verified(), "{} hits, {} misses", s.cache_hits, s.cache_misses);
+    }
+
+    /// The on-disk store does not record tightening, so it must never carry
+    /// verdicts between a tightened and an untightened session, in either
+    /// direction: bcopy verifies exactly when the compile itself tightens.
+    #[test]
+    fn disk_store_never_crosses_tightening() {
+        let src = dml_programs::bcopy::SOURCE;
+        let dir = std::env::temp_dir().join(format!("dml-disk-tighten-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let untightened = SolverOptions::default().with_tighten(false);
+        let compile_with = |path: &std::path::Path, tighten: bool| {
+            let base =
+                if tighten { Compiler::new() } else { Compiler::new().solver_options(untightened) };
+            let session = base.disk_cache(path);
+            let compiled = session.compile(src).unwrap();
+            session.flush_disk().unwrap();
+            compiled
+        };
+        for (name, writer, reader) in [("t-then-u", true, false), ("u-then-t", false, true)] {
+            let path = dir.join(name);
+            assert_eq!(compile_with(&path, writer).fully_verified(), writer, "{name} writer");
+            let read = compile_with(&path, reader);
+            let disk_hits = read.stats().solver.cache_disk_hits;
+            assert_eq!(read.fully_verified(), reader, "{name}: {disk_hits} disk hits");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Worker count and cache do not change verdicts or proven sites.

@@ -25,11 +25,6 @@ pub struct CheckConfig {
     pub mode: Mode,
     /// Call sites (application spans) whose bound obligations were proven.
     pub proven: HashSet<Span>,
-    /// How many times the bounds comparison is repeated per check — the
-    /// platform cost model distinguishing the paper's Table 2 (DEC Alpha /
-    /// SML-NJ) from Table 3 (SPARC / MLWorks). `1` is the physical
-    /// interpreter cost.
-    pub check_cost: u32,
     /// Verify even eliminated accesses, turning any out-of-bounds
     /// "unchecked" access into [`EvalError::UnsoundElimination`].
     pub validate: bool,
@@ -38,18 +33,12 @@ pub struct CheckConfig {
 impl CheckConfig {
     /// Fully-checked execution (no elimination).
     pub fn checked() -> CheckConfig {
-        CheckConfig { mode: Mode::Checked, proven: HashSet::new(), check_cost: 1, validate: false }
+        CheckConfig { mode: Mode::Checked, proven: HashSet::new(), validate: false }
     }
 
     /// Eliminated execution for the given proven sites.
     pub fn eliminated(proven: HashSet<Span>) -> CheckConfig {
-        CheckConfig { mode: Mode::Eliminated, proven, check_cost: 1, validate: false }
-    }
-
-    /// Sets the per-check cost factor.
-    pub fn with_check_cost(mut self, cost: u32) -> CheckConfig {
-        self.check_cost = cost;
-        self
+        CheckConfig { mode: Mode::Eliminated, proven, validate: false }
     }
 
     /// Enables validation of eliminated accesses.

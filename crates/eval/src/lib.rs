@@ -10,10 +10,11 @@
 //!   says, per call site (identified by the application's source span,
 //!   matching `dml-elab`'s obligation sites), whether the bound/tag check
 //!   was proven and may be skipped.
-//! * Checked accesses execute the bounds comparison (optionally repeated
-//!   `check_cost` times, modelling platforms where a check is a larger
-//!   fraction of an access — the knob that distinguishes the paper's
-//!   Table 2 and Table 3 hardware); eliminated accesses skip it.
+//! * Checked accesses execute the bounds comparison; eliminated accesses
+//!   skip it. The interpreter exists for semantics and exact check counts,
+//!   not for timing: the run-time half of the paper's Tables 2–3 is
+//!   measured on emitted native code (`dml-emit`, the `native_tables`
+//!   bench).
 //! * [`Counters`] records exactly how many checks were executed and how
 //!   many were eliminated, reproducing the "checks eliminated" columns.
 //! * With [`CheckConfig::validate`] set, even "eliminated" accesses are

@@ -66,7 +66,7 @@ impl fmt::Display for Var {
 /// A supply of fresh [`Var`]s.
 ///
 /// A supply owns a half-open id range `next..limit` (the default supply
-/// owns everything up to `u32::MAX`). [`VarGen::split`] carves disjoint
+/// owns everything up to `u32::MAX`). [`VarLease`] carves disjoint
 /// sub-ranges out of a supply so parallel solver workers can generate
 /// fresh variables without any synchronisation and still never collide
 /// with each other or with the parent supply.
@@ -82,12 +82,6 @@ impl Default for VarGen {
     }
 }
 
-/// Ids reserved for one worker by [`VarGen::split`]. A single `prove` run
-/// introduces at most a few fresh variables per goal, so a million ids per
-/// worker is beyond any realistic solve while leaving thousands of splits
-/// available in the 32-bit id space.
-const SPLIT_STRIDE: u32 = 1 << 20;
-
 impl VarGen {
     /// Creates a fresh supply starting at id 0.
     pub fn new() -> Self {
@@ -96,7 +90,7 @@ impl VarGen {
 
     /// Creates a supply that starts at `start` (and owns ids up to
     /// `u32::MAX`). Used to hand out disjoint ranges explicitly; prefer
-    /// [`VarGen::split`] when carving from an existing supply.
+    /// [`VarLease`] when carving from an existing supply.
     pub fn starting_at(start: u32) -> Self {
         VarGen { next: start, limit: u32::MAX }
     }
@@ -136,42 +130,15 @@ impl VarGen {
             self.next = id + 1;
         }
     }
-
-    /// Carves `n` disjoint sub-supplies out of this supply, each owning a
-    /// contiguous range of fresh ids. The parent advances past the whole
-    /// carved region, so no variable it generates later can collide with a
-    /// worker's, and no two workers can collide with each other.
-    ///
-    /// Panics if the remaining id space cannot fit `n` stride-sized
-    /// ranges (practically unreachable: >4000 sixteen-way splits fit).
-    ///
-    /// `split` fixes the partition at spawn time, which is only sound when
-    /// each sub-supply stays pinned to one worker for the whole batch. Under
-    /// work-stealing — where the set of threads touching a batch is not
-    /// known up front — use [`VarLease`] instead.
-    pub fn split(&mut self, n: usize) -> Vec<VarGen> {
-        let n = n.max(1);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let start = self.next;
-            let end = start
-                .checked_add(SPLIT_STRIDE)
-                .filter(|e| *e <= self.limit)
-                .expect("VarGen id space exhausted by split");
-            out.push(VarGen { next: start, limit: end });
-            self.next = end;
-        }
-        out
-    }
 }
 
 /// An atomically-leased region of fresh variable ids.
 ///
-/// [`VarGen::split`] partitions ids by worker *at spawn time*, which is
-/// unsound under work-stealing: a thread that steals goals beyond its
-/// original share would have to mint ids from a range it does not own.
-/// A `VarLease` instead carves one region out of a parent supply and hands
-/// out disjoint chunks on demand through an atomic cursor — any number of
+/// Partitioning ids by worker *at spawn time* is unsound under
+/// work-stealing: a thread that steals goals beyond its original share
+/// would have to mint ids from a range it does not own. A `VarLease`
+/// instead carves one region out of a parent supply and hands out
+/// disjoint chunks on demand through an atomic cursor — any number of
 /// threads can lease any number of chunks, in any schedule, and no id is
 /// ever produced twice. The parent supply advances past the whole region
 /// at carve time, so its later ids cannot collide with leased ones either.
@@ -262,22 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn split_ranges_are_disjoint_from_each_other_and_parent() {
-        let mut g = VarGen::new();
-        g.fresh("before");
-        let mut subs = g.split(3);
-        let after = g.fresh("after");
-        let mut seen = HashSet::new();
-        for sub in &mut subs {
-            for _ in 0..10 {
-                assert!(seen.insert(sub.fresh("w").id()), "worker ids collided");
-            }
-        }
-        assert!(!seen.contains(&after.id()), "parent id fell inside a worker range");
-        assert!(after.id() > seen.iter().copied().max().unwrap());
-    }
-
-    #[test]
     fn lease_chunks_are_disjoint_from_each_other_and_parent() {
         let mut g = VarGen::new();
         g.fresh("before");
@@ -294,7 +245,7 @@ mod tests {
     }
 
     /// Regression test for work-stealing id soundness: replays a schedule
-    /// where worker B steals goals that a `split`-style static partition
+    /// where worker B steals goals that a static per-worker partition
     /// would have assigned to worker A. Under leasing, every goal's ids
     /// come from a chunk claimed at execution time by whichever thread
     /// actually runs it, so the interleaved schedule mints no duplicate.
@@ -340,9 +291,9 @@ mod tests {
     #[should_panic(expected = "exhausted")]
     fn exhausted_sub_supply_panics() {
         let mut g = VarGen::new();
-        let mut sub = g.split(1).remove(0);
-        // Drain the whole stride plus one.
-        for _ in 0..=(1u32 << 20) {
+        let mut sub = VarLease::carve(&mut g, 16).lease(2);
+        // The lease fits; its third id is past the leased range.
+        for _ in 0..3 {
             sub.fresh("x");
         }
     }

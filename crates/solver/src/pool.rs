@@ -22,8 +22,7 @@
 //! - Fresh-variable soundness under stealing comes from
 //!   [`dml_index::VarLease`]: each stolen chunk leases a disjoint id range
 //!   at execution time, instead of partitioning ids per worker at spawn
-//!   time ([`dml_index::VarGen::split`]'s model, which assumed a fixed
-//!   worker set).
+//!   time (which assumes a fixed worker set).
 //! - Determinism: every result lands in its obligation's slot, so the
 //!   merged output (verdicts, stats, per-goal trace buffers) is identical
 //!   for every worker count and every steal schedule.

@@ -4,8 +4,10 @@
 //! cargo run --release --example paper_tables [factor]
 //! ```
 //!
-//! The optional factor (default 1) scales the workloads toward the paper's
-//! sizes; see `EXPERIMENTS.md` for the mapping.
+//! The optional factor (default 1) scales the Table 2 workloads toward the
+//! paper's sizes; see `EXPERIMENTS.md` for the mapping. Table 2 prints the
+//! exact half of the paper's Tables 2–3 (checks eliminated, op gain); the
+//! run times with and without checks come from the `native_tables` bench.
 
 use dml::experiments;
 
@@ -15,14 +17,9 @@ fn main() {
     println!("== Table 1: constraint generation and solving ==");
     print!("{}", experiments::table1_rendered());
 
-    println!("\n== Table 2: check elimination, low per-check cost model (factor {factor}) ==");
+    println!("\n== Table 2: check elimination (factor {factor}) ==");
     let t2 = experiments::table2(factor);
     print!("{}", experiments::table_rendered(&t2));
 
-    println!("\n== Table 3: check elimination, high per-check cost model (factor {factor}) ==");
-    let t3 = experiments::table3(factor);
-    print!("{}", experiments::table_rendered(&t3));
-
     assert!(t2.iter().all(|r| r.outputs_match), "modes must agree");
-    assert!(t3.iter().all(|r| r.outputs_match), "modes must agree");
 }

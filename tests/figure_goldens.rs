@@ -70,8 +70,8 @@ fn experiment_index_is_complete() {
     }
     // Figure 4.
     assert!(!figure4().is_empty());
-    // Tables 1-3.
+    // Table 1. (Table 2's exact counts are pinned by
+    // tests/pipeline_integration.rs; the timing half of Tables 2-3 is the
+    // native_tables bench.)
     assert_eq!(dml::experiments::table1().len(), 8);
-    // (table2/table3 are exercised by the slower integration tests and the
-    // bench harness; compiling their benchmarks is covered above.)
 }

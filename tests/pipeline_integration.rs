@@ -4,7 +4,7 @@
 //! site into a hard error, so these tests are the soundness net for the
 //! whole system.
 
-use dml::experiments::{bench_source, benchmarks, compile_bench};
+use dml::experiments::{bench_source, benchmarks, compile_bench, table2};
 use dml::{CheckConfig, Mode, Value};
 use dml_programs as progs;
 
@@ -31,26 +31,32 @@ fn every_benchmark_fully_verifies_and_eliminates() {
     }
 }
 
+/// Table 2 at factor 1, the counts `dmlc table 2` prints. Its eliminated
+/// run validates every skipped access and panics with `UnsoundElimination`
+/// on a violation, so a row exists only if elimination was sound.
 #[test]
 fn eliminated_runs_validate_and_agree_with_checked_runs() {
-    for b in benchmarks() {
-        let compiled = compile_bench(&b);
-        let mut checked = compiled.machine(Mode::Checked);
-        let checked_sum = (b.run)(&mut checked, 1);
-
-        // Validation mode: even "eliminated" accesses verify their bounds
-        // and abort with `UnsoundElimination` on violation.
-        let mut validated =
-            compiled.machine_with(CheckConfig::eliminated(Default::default()).with_validation());
-        let eliminated_sum = (b.run)(&mut validated, 1);
-
-        assert_eq!(checked_sum, eliminated_sum, "{} results differ", b.program.name);
-        assert!(validated.counters.eliminated() > 0, "{} eliminated no checks", b.program.name);
+    let expected = [
+        ("bcopy", 131_072),
+        ("binary search", 48_207),
+        ("bubble sort", 283_456),
+        ("matrix mult", 56_448),
+        ("queen", 48_808),
+        ("quick sort", 166_361),
+        ("hanoi towers", 65_528),
+        ("list access", 16_384),
+    ];
+    let rows = table2(1);
+    assert_eq!(rows.len(), expected.len());
+    for (row, (program, eliminated)) in rows.iter().zip(expected) {
+        assert_eq!(row.program, program);
+        assert!(row.outputs_match, "{program} results differ");
+        assert_eq!(row.checks_eliminated, eliminated, "{program} checks eliminated");
+        assert_eq!(row.residual_checks, 0, "{program} residual checks");
         assert_eq!(
-            checked.counters.executed(),
-            validated.counters.eliminated() + validated.counters.executed(),
-            "{}: every check is either executed or eliminated",
-            b.program.name
+            row.checked_run_checks,
+            row.checks_eliminated + row.checks_executed,
+            "{program}: every check is either executed or eliminated"
         );
     }
 }
