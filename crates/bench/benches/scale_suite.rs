@@ -1,5 +1,5 @@
 //! Throughput suite over the generated scale corpus: program size ×
-//! jobs × {session cache, disk cache}, reporting goals/sec, wall time,
+//! jobs × {cold, warm session cache}, reporting goals/sec, wall time,
 //! peak RSS, and cache hit-rate trajectories to `BENCH_scale.json`.
 //!
 //! Flags (after `--`):
@@ -21,10 +21,6 @@
 //!   in the same round as `cold_jobs_auto`: the goal cache is hot, so
 //!   every cacheable goal is served from it, but generation is redone for
 //!   every file.
-//! * `disk_cold_session` — a *fresh* session whose goal cache starts
-//!   empty but has the persistent disk store attached (pre-populated by
-//!   a flushed priming session): every canonical goal is served from
-//!   the disk tier, the cross-process warm-start story.
 //!
 //! Every wall time is a spread over the measured rounds; counters come
 //! from the last round. Peak RSS is the `/proc/self/status` VmHWM
@@ -72,7 +68,6 @@ impl ConfigRow {
             ("goals_per_sec", Json::Num(rate(self.counts.goals, &self.wall))),
             ("cache_hits", Json::Int(self.counts.cache_hits as i64)),
             ("cache_misses", Json::Int(self.counts.cache_misses as i64)),
-            ("cache_disk_hits", Json::Int(self.counts.cache_disk_hits as i64)),
             ("cache_hit_rate", Json::Num(self.hit_rate())),
             (
                 // Non-finite Num renders as JSON null (no /proc platform).
@@ -231,43 +226,13 @@ fn run_size(
     let cold_auto = row("cold_jobs_auto", auto_jobs, walls[0], auto_counts, auto_peak);
     let warm = row("warm_shared", auto_jobs, walls[1], warm_counts, warm_peak);
 
-    // disk_cold_session: prime a throwaway session with the disk store
-    // attached, flush it, then measure a fresh session that can only be
-    // warm through the disk tier.
-    let dir = std::env::temp_dir().join(format!("dml-scale-suite-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("bench temp dir");
-    let store = dir.join(format!("verdicts-{target}.store"));
-    {
-        let primer = Compiler::new().disk_cache(&store);
-        let out = check_batch(&primer, &entries, auto_jobs);
-        assert!(out.ok(), "disk priming batch failed");
-        primer.flush_disk().expect("flush disk store").expect("store attached");
-    }
-    let (mut disk_counts, mut disk_peak) = (BatchSummary::default(), None);
-    let wall = sample(warmup, n, || {
-        let compiler = Compiler::new().disk_cache(&store);
-        let (wall, out) =
-            measured(rss_reset, &mut disk_peak, || check_batch(&compiler, &entries, auto_jobs));
-        assert!(out.ok(), "disk-backed batch failed");
-        disk_counts = out.summary;
-        [wall]
-    })[0];
-    let disk = row("disk_cold_session", auto_jobs, wall, disk_counts, disk_peak);
-    assert!(
-        disk.counts.cache_disk_hits > 0,
-        "disk-backed session served no verdicts from the disk tier"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    for row in [&cold, &cold_auto, &warm, &disk] {
+    for row in [&cold, &cold_auto, &warm] {
         println!(
-            "scale_suite/{target}/{}: {}, {:.0} goals/s, hit rate {:.2}, \
-             {} disk hit(s), peak RSS {}",
+            "scale_suite/{target}/{}: {}, {:.0} goals/s, hit rate {:.2}, peak RSS {}",
             row.name,
             row.wall,
             rate(row.counts.goals, &row.wall),
             row.hit_rate(),
-            row.counts.cache_disk_hits,
             row.peak_rss.map_or("n/a".to_string(), |b| format!("{:.1} MiB", b as f64 / 1048576.0))
         );
     }
@@ -288,10 +253,7 @@ fn run_size(
             ]),
         ),
         ("hit_rate_trajectory", Json::Array(trajectory.into_iter().map(Json::Num).collect())),
-        (
-            "configs",
-            Json::Array(vec![cold.to_json(), cold_auto.to_json(), warm.to_json(), disk.to_json()]),
-        ),
+        ("configs", Json::Array(vec![cold.to_json(), cold_auto.to_json(), warm.to_json()])),
     ]);
     SizeResult { json, cold_rate, warm_rate }
 }

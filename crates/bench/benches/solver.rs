@@ -66,14 +66,18 @@ fn main() {
     }
 }
 
-/// Times proving `constraint` with one solver, `(warmup, n)` rounds.
+/// Times proving `constraint`, `(warmup, n)` rounds. Each round builds its
+/// own solver, so it decides the goals cold instead of timing a hit in
+/// the verdict cache an earlier round filled.
 fn run(name: &str, (warmup, n): (usize, usize), constraint: &Constraint, mut gen: VarGen) {
-    let solver = Solver::new(SolverOptions::default());
     let spread = sample(warmup, n, || {
+        let solver = Solver::new(SolverOptions::default());
         [timed(|| {
             let outcome = solver.prove(black_box(constraint), &mut gen);
             assert!(outcome.all_proven());
-            outcome.stats.fm_combinations
+            let stats = &outcome.stats;
+            assert!(stats.cache_hits == 0 && stats.fm_combinations > 0, "warm round: {stats}");
+            stats.fm_combinations
         })]
     })[0];
     println!("solver/{name}: {spread}");

@@ -15,7 +15,7 @@
 //!                              compile to a standalone Rust crate
 //! dmlc serve [--socket PATH]   persistent check service (JSON protocol)
 //! dmlc stats --remote SOCKET   a running daemon's cache/request counters
-//! dmlc shutdown --remote SOCKET  flush the daemon's caches and stop it
+//! dmlc shutdown --remote SOCKET  stop a running daemon
 //! dmlc fuzz [--seed S] [--iters N] [--scale] [--json]  differential solver fuzzer
 //! dmlc figure4                 print the paper's Figure 4 constraints
 //! dmlc table <1|2> [factor] [--timings]  regenerate an evaluation table
@@ -46,9 +46,6 @@
 //! * `--deadline-ms N` — per-goal wall-clock budget.
 //! * `--strict` — unproven obligations abort compilation (the permissive
 //!   default lets them degrade to residual runtime checks).
-//! * `--disk-cache FILE` — attach the persistent verdict store: canonical
-//!   goal verdicts survive across processes (and are shared with any
-//!   `dmlc serve --disk-cache` daemon pointed at the same file).
 //! * `--remote SOCKET` — run `check`/`infer`/`explain` against a
 //!   `dmlc serve --socket SOCKET` daemon instead of in-process. Output is
 //!   byte-identical (both paths render through the same report code);
@@ -106,7 +103,7 @@ fn main() -> ExitCode {
                  dmlc run <file.dml> <fun> [ints...] [--fuel N] [--deadline-ms N] [--strict]\n\
                  dmlc eval <file.dml> <fun> [ints...]   (alias for run)\n\
                  dmlc emit-rust <file.dml> [--out DIR] [--checked|--unchecked-proven] [--name NAME]\n\
-                 dmlc serve [--socket PATH] [--disk-cache FILE] [--fuel N] [--deadline-ms N] [--strict]\n\
+                 dmlc serve [--socket PATH] [--fuel N] [--deadline-ms N] [--strict]\n\
                  dmlc stats --remote SOCKET\n\
                  dmlc shutdown --remote SOCKET\n\
                  dmlc fuzz [--seed S] [--iters N] [--bound B] [--json] [--infer] [--scale] [--repro-dir D] [--no-programs]\n\
@@ -130,12 +127,11 @@ struct SessionSetup {
 }
 
 /// Extracts the session flags (`--fuel`, `--deadline-ms`, `--strict`,
-/// `--disk-cache`, `--remote`) from anywhere on the command line,
+/// `--remote`) from anywhere on the command line,
 /// returning the configured [`SessionSetup`] and the remaining arguments.
 fn parse_session_flags(args: &[String]) -> Result<(SessionSetup, Vec<String>), String> {
     let mut compiler = Compiler::new();
     let mut remote = None;
-    let mut disk_cache: Option<String> = None;
     let mut rest = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -153,25 +149,12 @@ fn parse_session_flags(args: &[String]) -> Result<(SessionSetup, Vec<String>), S
                 compiler = compiler.deadline(Duration::from_millis(n));
             }
             "--strict" => compiler = compiler.strict(true),
-            "--disk-cache" => {
-                let v = it.next().ok_or("--disk-cache expects a file path")?;
-                disk_cache = Some(v.clone());
-            }
             "--remote" => {
                 let v = it.next().ok_or("--remote expects a socket path")?;
                 remote = Some(v.clone());
             }
             _ => rest.push(a.clone()),
         }
-    }
-    // Attach the disk tier after all budget flags are parsed so the
-    // session solver is created with its final options.
-    if let Some(path) = disk_cache {
-        let loaded = {
-            compiler = compiler.disk_cache(&path);
-            compiler.solver().cache().disk_loaded()
-        };
-        eprintln!("disk cache: {loaded} verdict(s) loaded from {path}");
     }
     Ok((SessionSetup { compiler, remote }, rest))
 }
@@ -244,14 +227,15 @@ fn check_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
         eprintln!("missing file argument");
         return ExitCode::FAILURE;
     }
-    if files.len() > 1 && trace_out.is_some() {
-        eprintln!("--trace-out expects a single file");
-        return ExitCode::FAILURE;
-    }
 
     // Single file, no fan-out: the original path, byte-for-byte.
     if files.len() == 1 && jobs == 1 {
         return check_one(session, &files[0], trace_out.as_deref());
+    }
+    // The batch path compiles untraced, so it has no trace to write.
+    if trace_out.is_some() {
+        eprintln!("--trace-out expects a single file and no --jobs");
+        return ExitCode::FAILURE;
     }
 
     // Batch mode. Read everything up front so a bad path fails before
@@ -269,8 +253,7 @@ fn check_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
     if let Some(socket) = &session.remote {
         return remote_check_batch(socket, &entries);
     }
-    let compiler = session.compiler.clone();
-    let outcome = dml::check_batch(&compiler, &entries, jobs);
+    let outcome = dml::check_batch(&session.compiler, &entries, jobs);
     if entries.len() == 1 {
         // A 1-file batch (`--jobs` on a single file) keeps the
         // single-file output shape: no section header.
@@ -283,7 +266,6 @@ fn check_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
         print!("{}", outcome.merged_report());
         eprintln!("{}", outcome.summary.render());
     }
-    flush_disk_tier(&compiler);
     if outcome.ok() {
         ExitCode::SUCCESS
     } else {
@@ -324,7 +306,6 @@ fn check_one(session: &SessionSetup, path: &str, trace_out: Option<&str>) -> Exi
             }
             let report = dml::check_report(&compiled, &src);
             print!("{}", report.text);
-            flush_disk_tier(&compiler);
             if report.ok {
                 ExitCode::SUCCESS
             } else {
@@ -375,16 +356,6 @@ fn remote_check_batch(socket: &str, entries: &[dml::BatchEntry]) -> ExitCode {
 fn remote_check_batch(_socket: &str, _entries: &[dml::BatchEntry]) -> ExitCode {
     eprintln!("--remote requires a Unix platform");
     ExitCode::FAILURE
-}
-
-/// Persists newly decided verdicts when a `--disk-cache` store is
-/// attached (a no-op otherwise).
-fn flush_disk_tier(compiler: &Compiler) {
-    match compiler.flush_disk() {
-        Ok(Some(n)) => eprintln!("disk cache: {n} verdict(s) on disk"),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: disk cache flush failed: {e}"),
-    }
 }
 
 #[cfg(unix)]
@@ -611,8 +582,8 @@ fn fuzz(args: &[String]) -> ExitCode {
 
 /// `dmlc serve [--socket PATH]` — runs the persistent check service over
 /// stdio (the default) or a Unix socket, holding one warm compiler session
-/// — goal cache, worker pool, optional `--disk-cache` store, per-file
-/// state that replays byte-identical re-checks — across every request.
+/// — goal cache, worker pool, per-file state that replays
+/// byte-identical re-checks — across every request.
 /// Protocol: `docs/PROTOCOL.md`.
 fn serve_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
     let mut socket: Option<String> = None;
@@ -643,12 +614,6 @@ fn serve_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
         }
         Some(path) => serve_socket(&mut service, path),
     };
-    // Shutdown requests flush in-band; this covers plain EOF.
-    match service.flush_disk() {
-        Ok(Some(n)) => eprintln!("disk cache: {n} verdict(s) on disk"),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: disk cache flush failed: {e}"),
-    }
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -36,7 +36,7 @@ pub fn call(socket: &str, method: &str, params: Vec<(&str, Json)>) -> Result<Jso
     let response =
         Json::parse(line.trim()).map_err(|e| format!("daemon sent invalid JSON: {e}"))?;
     if let Some(err) = response.get("error") {
-        let code = err.get("code").and_then(Json::as_str).unwrap_or("internal-error");
+        let code = err.get("code").and_then(Json::as_str).unwrap_or("no code");
         let message = err.get("message").and_then(Json::as_str).unwrap_or("unknown error");
         return Err(if code == "compile-error" {
             message.to_string()

@@ -216,6 +216,27 @@ fn missing_file_reported() {
 }
 
 #[test]
+fn trace_out_is_rejected_on_the_batch_path() {
+    let path = write_temp("trace-batch.dml", GOOD);
+    let trace = std::env::temp_dir().join("dmlc-tests").join("trace-batch.json");
+    let _ = std::fs::remove_file(&trace);
+    for extra in [vec!["--jobs", "2"], vec![path.to_str().unwrap()]] {
+        let out = dmlc()
+            .arg("check")
+            .arg(&path)
+            .args(&extra)
+            .arg("--trace-out")
+            .arg(&trace)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{extra:?}: a batch writes no trace, so it must fail");
+        assert!(stderr.contains("--trace-out expects a single file"), "{extra:?}: {stderr}");
+        assert!(!trace.exists(), "{extra:?}: no trace file is written");
+    }
+}
+
+#[test]
 fn explain_valid_goal_renders() {
     let path = write_temp("explain-good.dml", GOOD);
     let out = dmlc().arg("explain").arg(&path).args(["--goal", "1"]).output().unwrap();

@@ -1,6 +1,5 @@
-//! Integration tests for the persistent check service: the on-disk
-//! verdict cache across separate processes, and the `dmlc serve` daemon's
-//! determinism contract against one-shot `dmlc check`.
+//! Integration tests for the persistent check service: the `dmlc serve`
+//! daemon's determinism contract against one-shot `dmlc check`.
 
 use dml::serve::protocol::{request_line, Json};
 use std::io::Write;
@@ -29,59 +28,6 @@ where first <| {n:nat | n > 0} int array(n) -> int
 fun second(v) = sub(v, 1)
 where second <| {n:nat | n > 1} int array(n) -> int
 ";
-
-/// The same program alpha-renamed: different variable and function names,
-/// identical canonical goals.
-const PROGRAM_RENAMED: &str = "\
-fun head_elem(arr) = sub(arr, 0)
-where head_elem <| {len:nat | len > 0} int array(len) -> int
-
-fun next_elem(arr) = sub(arr, 1)
-where next_elem <| {len:nat | len > 1} int array(len) -> int
-";
-
-#[test]
-fn disk_cache_round_trips_across_processes() {
-    let dir = temp_dir("round-trip");
-    let cache = dir.join("verdicts.db");
-    let a = write_file(&dir, "a.dml", PROGRAM);
-    let b = write_file(&dir, "b.dml", PROGRAM_RENAMED);
-
-    // Process 1: cold, populates the store.
-    let out = dmlc().arg("check").arg(&a).arg("--disk-cache").arg(&cache).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(cache.exists(), "first process persisted the store");
-
-    // Process 2: a *different* process checking the alpha-renamed program
-    // answers its goals from disk.
-    let out = dmlc().arg("check").arg(&b).arg("--disk-cache").arg(&cache).output().unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    assert!(stdout.contains("from disk)"), "renamed duplicates hit the disk tier:\n{stdout}");
-    assert!(stdout.contains("0 misses"), "every goal was already known:\n{stdout}");
-    assert!(stderr.contains("verdict(s) loaded"), "{stderr}");
-}
-
-#[test]
-fn corrupted_or_stale_cache_is_ignored_not_fatal() {
-    let dir = temp_dir("corrupt");
-    let src = write_file(&dir, "p.dml", PROGRAM);
-    for (name, contents) in [
-        ("garbage.db", "not a cache file at all\n\x00\x01\x02"),
-        ("old.db", "dml-verdict-cache 0 logic 0\ndeadbeefdeadbeef u P\n"),
-        ("truncated.db", "dml-verdict-cache 1 logic 1\n0123 u"),
-    ] {
-        let cache = write_file(&dir, name, contents);
-        let out = dmlc().arg("check").arg(&src).arg("--disk-cache").arg(&cache).output().unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{name} must not be fatal: {stderr}");
-        assert!(stderr.contains("0 verdict(s) loaded"), "{name} treated as empty: {stderr}");
-        // The bad file is replaced with a valid store on flush.
-        let rewritten = std::fs::read_to_string(&cache).unwrap();
-        assert!(rewritten.starts_with("dml-verdict-cache 1 logic "), "{name}: {rewritten}");
-    }
-}
 
 /// Drives a `dmlc serve` daemon over stdio and returns one parsed response
 /// per request line.

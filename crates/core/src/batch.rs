@@ -72,8 +72,6 @@ pub struct BatchSummary {
     pub cache_hits: u64,
     /// Session-cache misses across the batch.
     pub cache_misses: u64,
-    /// Verdicts served from the persistent disk tier across the batch.
-    pub cache_disk_hits: u64,
 }
 
 impl BatchSummary {
@@ -82,14 +80,13 @@ impl BatchSummary {
     pub fn render(&self) -> String {
         format!(
             "batch: {} file(s), {} failed; {} constraints, {} goals; \
-             solver cache: {} hits, {} misses, {} disk hits",
+             solver cache: {} hits, {} misses",
             self.files,
             self.failed,
             self.constraints,
             self.goals,
             self.cache_hits,
-            self.cache_misses,
-            self.cache_disk_hits
+            self.cache_misses
         )
     }
 }
@@ -131,14 +128,12 @@ impl BatchOutcome {
 /// Checks every entry against `compiler`'s session, fanning across
 /// `jobs` worker threads (1 = sequential; the result is identical either
 /// way, only wall time changes). The session solver is initialized
-/// before any worker spawns, so all clones share one goal cache — and
-/// one disk tier, when attached. Newly decided verdicts are *not*
-/// flushed here; call [`Compiler::flush_disk`] after the batch.
+/// before any worker spawns, so all clones share one goal cache.
 pub fn check_batch(compiler: &Compiler, entries: &[BatchEntry], jobs: usize) -> BatchOutcome {
     // Force the session solver into existence so every clone below
     // shares it (cloning a virgin handle would fork the session).
     let cache = compiler.solver().cache();
-    let snapshot = (cache.hits(), cache.misses(), cache.disk_hits());
+    let snapshot = (cache.hits(), cache.misses());
 
     let jobs = jobs.clamp(1, entries.len().max(1));
     let slots: Vec<Mutex<Option<BatchFileResult>>> =
@@ -192,7 +187,6 @@ pub fn check_batch(compiler: &Compiler, entries: &[BatchEntry], jobs: usize) -> 
         files: results.len(),
         cache_hits: cache.hits() - snapshot.0,
         cache_misses: cache.misses() - snapshot.1,
-        cache_disk_hits: cache.disk_hits() - snapshot.2,
         ..BatchSummary::default()
     };
     for r in &results {

@@ -469,35 +469,6 @@ impl Compiler {
         self.session.get_or_init(|| Solver::new(self.options))
     }
 
-    /// Attaches an on-disk verdict store at `path` to the session cache
-    /// (see [`dml_solver::cache::GoalCache::attach_disk`]): previously
-    /// flushed verdicts answer goals across process restarts, and new
-    /// verdicts are queued until [`Compiler::flush_disk`]. A missing,
-    /// stale, or corrupted file is ignored — persistence never fails a
-    /// compile.
-    ///
-    /// The store's keys do not record tightening, so it is attached only
-    /// when the session solver tightens (the default). An untightened
-    /// session neither reads tightened verdicts nor writes its own.
-    pub fn disk_cache(self, path: impl Into<std::path::PathBuf>) -> Compiler {
-        let solver = self.solver();
-        if solver.options().tighten {
-            solver.cache().attach_disk(path);
-        }
-        self
-    }
-
-    /// Writes verdicts queued since the last flush back to the attached
-    /// disk store (no-op without one). Returns the total entries now on
-    /// disk when a write happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the store write.
-    pub fn flush_disk(&self) -> std::io::Result<Option<usize>> {
-        self.solver().cache().flush_disk()
-    }
-
     /// The solver options this session will compile with.
     pub fn options(&self) -> &SolverOptions {
         &self.options
@@ -673,8 +644,7 @@ fn run_pipeline_ast(
     // solver (and its process-lived cache) is shared across many compiles.
     let solve_start = Instant::now();
     let solver = solver.clone();
-    let cache_snapshot =
-        (solver.cache().hits(), solver.cache().misses(), solver.cache().disk_hits());
+    let cache_snapshot = (solver.cache().hits(), solver.cache().misses());
     let mut gen = gen;
     let outcomes = {
         let constraints: Vec<_> = obligations
@@ -715,7 +685,6 @@ fn run_pipeline_ast(
     // during *this* compile's solve, not since the cache was created.
     solver_stats.cache_hits = (solver.cache().hits() - cache_snapshot.0) as usize;
     solver_stats.cache_misses = (solver.cache().misses() - cache_snapshot.1) as usize;
-    solver_stats.cache_disk_hits = (solver.cache().disk_hits() - cache_snapshot.2) as usize;
     let solve_time = solve_start.elapsed();
 
     // Check elimination (§4): a program that type-checks compiles its
@@ -1034,33 +1003,6 @@ where first <| {n:nat | n > 0} int array(n) -> int
         let warm = session.solver_options(untightened).compile(src).unwrap();
         let s = &warm.stats().solver;
         assert!(!warm.fully_verified(), "{} hits, {} misses", s.cache_hits, s.cache_misses);
-    }
-
-    /// The on-disk store does not record tightening, so it must never carry
-    /// verdicts between a tightened and an untightened session, in either
-    /// direction: bcopy verifies exactly when the compile itself tightens.
-    #[test]
-    fn disk_store_never_crosses_tightening() {
-        let src = dml_programs::bcopy::SOURCE;
-        let dir = std::env::temp_dir().join(format!("dml-disk-tighten-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let untightened = SolverOptions::default().with_tighten(false);
-        let compile_with = |path: &std::path::Path, tighten: bool| {
-            let base =
-                if tighten { Compiler::new() } else { Compiler::new().solver_options(untightened) };
-            let session = base.disk_cache(path);
-            let compiled = session.compile(src).unwrap();
-            session.flush_disk().unwrap();
-            compiled
-        };
-        for (name, writer, reader) in [("t-then-u", true, false), ("u-then-t", false, true)] {
-            let path = dir.join(name);
-            assert_eq!(compile_with(&path, writer).fully_verified(), writer, "{name} writer");
-            let read = compile_with(&path, reader);
-            let disk_hits = read.stats().solver.cache_disk_hits;
-            assert_eq!(read.fully_verified(), reader, "{name}: {disk_hits} disk hits");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Worker count and cache do not change verdicts or proven sites.

@@ -63,14 +63,8 @@ fn report_header(stats: &CompileStats) -> String {
     );
     let _ = writeln!(
         text,
-        "solver cache: {} hits, {} misses{}",
-        stats.solver.cache_hits,
-        stats.solver.cache_misses,
-        if stats.solver.cache_disk_hits > 0 {
-            format!(" ({} from disk)", stats.solver.cache_disk_hits)
-        } else {
-            String::new()
-        },
+        "solver cache: {} hits, {} misses",
+        stats.solver.cache_hits, stats.solver.cache_misses,
     );
     text
 }

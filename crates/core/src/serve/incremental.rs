@@ -199,10 +199,9 @@ fn decl_start(d: &Decl) -> usize {
     start as usize
 }
 
-/// FNV-1a, matching the stability rationale of
-/// [`dml_solver::disk::stable_goal_hash`]: these hashes live only in
-/// memory, but using one well-understood hash everywhere keeps the
-/// incremental layer independent of std's unstable `DefaultHasher`.
+/// FNV-1a: these hashes live only in memory, but a fixed, well-understood
+/// hash keeps the incremental layer independent of std's unstable
+/// `DefaultHasher`.
 struct Fnv(u64);
 
 impl Fnv {

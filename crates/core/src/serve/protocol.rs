@@ -6,7 +6,7 @@
 //! Every request is a single-line JSON object:
 //!
 //! ```json
-//! {"schemaVersion":1,"id":1,"method":"check","params":{"source":"..."}}
+//! {"schemaVersion":2,"id":1,"method":"check","params":{"source":"..."}}
 //! ```
 //!
 //! * `schemaVersion` (required) — the protocol version the client speaks.
@@ -20,8 +20,8 @@
 //!   `shutdown`.
 //! * `params` (optional object) — method-specific; see `docs/PROTOCOL.md`.
 //!
-//! Responses mirror the shape: `{"schemaVersion":1,"id":...,"result":{...}}`
-//! on success, `{"schemaVersion":1,"id":...,"error":{"code":"...",
+//! Responses mirror the shape: `{"schemaVersion":2,"id":...,"result":{...}}`
+//! on success, `{"schemaVersion":2,"id":...,"error":{"code":"...",
 //! "message":"..."}}` on failure.
 //!
 //! **Unknown-field tolerance:** readers on both sides pick the fields they
@@ -40,7 +40,7 @@ pub use dml_obs::json::{obj, Json};
 
 /// The wire-protocol version this build speaks. Bumped whenever a field is
 /// removed or its meaning changes; additive fields do not bump it.
-pub const SCHEMA_VERSION: i64 = 1;
+pub const SCHEMA_VERSION: i64 = 2;
 
 /// Renders a request line (the client side of the wire), newline included.
 /// The id is echoed back on the matching response.
@@ -72,9 +72,6 @@ pub enum ErrorCode {
     /// unproven obligation under `strict`). The message is the same text
     /// one-shot `dmlc` prints to stderr.
     CompileError,
-    /// An I/O or internal failure while handling an otherwise valid
-    /// request.
-    Internal,
 }
 
 impl ErrorCode {
@@ -86,7 +83,6 @@ impl ErrorCode {
             ErrorCode::UnknownMethod => "unknown-method",
             ErrorCode::BadParams => "bad-params",
             ErrorCode::CompileError => "compile-error",
-            ErrorCode::Internal => "internal-error",
         }
     }
 }
@@ -192,25 +188,25 @@ mod tests {
 
     #[test]
     fn request_roundtrip_and_unknown_field_tolerance() {
-        let line = r#"{"schemaVersion":1,"id":7,"method":"check",
+        let line = r#"{"schemaVersion":2,"id":7,"method":"check",
             "futureField":{"x":[1]},"params":{"source":"fun id(x) = x","alsoNew":true}}"#
             .replace('\n', " ");
         let req = parse_request(&line).expect("tolerates unknown fields");
         assert_eq!(req.method, "check");
         assert_eq!(req.params.get("source").and_then(Json::as_str), Some("fun id(x) = x"));
         let ok = response_ok(req.id.as_ref(), obj(vec![("ok", Json::Bool(true))]));
-        assert_eq!(ok, "{\"schemaVersion\":1,\"id\":7,\"result\":{\"ok\":true}}\n");
+        assert_eq!(ok, "{\"schemaVersion\":2,\"id\":7,\"result\":{\"ok\":true}}\n");
     }
 
     #[test]
     fn schema_version_is_enforced() {
         let (code, _, id) =
-            parse_request(r#"{"schemaVersion":2,"id":"x","method":"check"}"#).unwrap_err();
+            parse_request(r#"{"schemaVersion":1,"id":"x","method":"check"}"#).unwrap_err();
         assert_eq!(code, ErrorCode::UnsupportedSchema);
         assert_eq!(id, Some(Json::Str("x".to_string())));
         let (code, _, _) = parse_request(r#"{"method":"check"}"#).unwrap_err();
         assert_eq!(code, ErrorCode::UnsupportedSchema);
-        let (code, _, _) = parse_request(r#"{"schemaVersion":1}"#).unwrap_err();
+        let (code, _, _) = parse_request(r#"{"schemaVersion":2}"#).unwrap_err();
         assert_eq!(code, ErrorCode::BadRequest);
     }
 }

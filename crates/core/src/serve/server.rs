@@ -130,15 +130,7 @@ fn dispatch(session: &mut Session, request: &Request) -> Result<Json, MethodErro
             Ok(obj(vec![("text", Json::Str(text))]))
         }
         "stats" => Ok(session.stats_json()),
-        "shutdown" => {
-            let flushed = session
-                .flush_disk()
-                .map_err(|e| (ErrorCode::Internal, format!("disk cache flush failed: {e}")))?;
-            Ok(obj(vec![
-                ("ok", Json::Bool(true)),
-                ("flushed", flushed.map(|n| Json::Int(n as i64)).unwrap_or(Json::Null)),
-            ]))
-        }
+        "shutdown" => Ok(obj(vec![("ok", Json::Bool(true))])),
         other => Err((ErrorCode::UnknownMethod, format!("unknown method `{other}`"))),
     }
 }
@@ -158,7 +150,6 @@ fn check_json(outcome: &CheckOutcome) -> Json {
                 ("obligationsReused", Json::Int(s.obligations_reused as i64)),
                 ("cacheHits", Json::Int(s.solver.cache_hits as i64)),
                 ("cacheMisses", Json::Int(s.solver.cache_misses as i64)),
-                ("cacheDiskHits", Json::Int(s.solver.cache_disk_hits as i64)),
                 ("generationMs", Json::Num(s.generation_time.as_secs_f64() * 1e3)),
                 ("solveMs", Json::Num(s.solve_time.as_secs_f64() * 1e3)),
             ]),
@@ -212,12 +203,12 @@ mod tests {
     fn check_stats_shutdown_round_trip() {
         let mut session = Session::new(Compiler::new());
         let script = format!(
-            "{{\"schemaVersion\":1,\"id\":1,\"method\":\"check\",\
+            "{{\"schemaVersion\":2,\"id\":1,\"method\":\"check\",\
                \"params\":{{\"source\":\"{VERIFIED}\",\"path\":\"a.dml\"}}}}\n\
-             {{\"schemaVersion\":1,\"id\":2,\"method\":\"check\",\
+             {{\"schemaVersion\":2,\"id\":2,\"method\":\"check\",\
                \"params\":{{\"source\":\"{VERIFIED}\",\"path\":\"a.dml\"}}}}\n\
-             {{\"schemaVersion\":1,\"id\":3,\"method\":\"stats\"}}\n\
-             {{\"schemaVersion\":1,\"id\":4,\"method\":\"shutdown\"}}\n"
+             {{\"schemaVersion\":2,\"id\":3,\"method\":\"stats\"}}\n\
+             {{\"schemaVersion\":2,\"id\":4,\"method\":\"shutdown\"}}\n"
         );
         let (shutdown, rs) = drive(&mut session, &script);
         assert!(shutdown);
@@ -249,9 +240,9 @@ mod tests {
         let mut session = Session::new(Compiler::new());
         let script = "\
             not json at all\n\
-            {\"schemaVersion\":1,\"id\":\"m\",\"method\":\"mystery\"}\n\
-            {\"schemaVersion\":1,\"id\":5,\"method\":\"check\",\"params\":{}}\n\
-            {\"schemaVersion\":1,\"id\":6,\"method\":\"check\",\
+            {\"schemaVersion\":2,\"id\":\"m\",\"method\":\"mystery\"}\n\
+            {\"schemaVersion\":2,\"id\":5,\"method\":\"check\",\"params\":{}}\n\
+            {\"schemaVersion\":2,\"id\":6,\"method\":\"check\",\
              \"params\":{\"source\":\"fun broken(\"}}\n";
         let (shutdown, rs) = drive(&mut session, script);
         assert!(!shutdown, "errors never kill the connection; EOF ends it");
@@ -274,7 +265,7 @@ mod tests {
     fn deeply_nested_line_is_a_bad_request_and_serving_continues() {
         let mut session = Session::new(Compiler::new());
         let script =
-            "[".repeat(200_000) + "\n{\"schemaVersion\":1,\"id\":2,\"method\":\"stats\"}\n";
+            "[".repeat(200_000) + "\n{\"schemaVersion\":2,\"id\":2,\"method\":\"stats\"}\n";
         let (shutdown, rs) = drive(&mut session, &script);
         assert!(!shutdown);
         assert_eq!(rs.len(), 2);
@@ -290,7 +281,7 @@ mod tests {
     fn explain_over_the_wire_matches_in_process() {
         let mut session = Session::new(Compiler::new());
         let script = format!(
-            "{{\"schemaVersion\":1,\"id\":1,\"method\":\"explain\",\
+            "{{\"schemaVersion\":2,\"id\":1,\"method\":\"explain\",\
                \"params\":{{\"source\":\"{VERIFIED}\",\"goal\":1}}}}\n"
         );
         let (_, rs) = drive(&mut session, &script);
@@ -328,9 +319,9 @@ mod tests {
         writer
             .write_all(
                 format!(
-                    "{{\"schemaVersion\":1,\"id\":1,\"method\":\"check\",\
+                    "{{\"schemaVersion\":2,\"id\":1,\"method\":\"check\",\
                        \"params\":{{\"source\":\"{VERIFIED}\"}}}}\n\
-                     {{\"schemaVersion\":1,\"id\":2,\"method\":\"shutdown\"}}\n"
+                     {{\"schemaVersion\":2,\"id\":2,\"method\":\"shutdown\"}}\n"
                 )
                 .as_bytes(),
             )

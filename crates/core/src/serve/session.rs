@@ -1,7 +1,7 @@
 //! The long-lived check session behind `dmlc serve`.
 //!
 //! A [`Session`] owns one reusable [`Compiler`] handle — one canonical
-//! goal cache (optionally disk-backed), one worker pool — plus per-file
+//! goal cache, one worker pool — plus per-file
 //! state and per-request statistics. A file's state is its last
 //! successful check: the source text and rendered report body, replayed
 //! when the same path is re-checked byte for byte, and its verdicts by
@@ -168,7 +168,7 @@ impl Session {
     }
 
     /// The `stats` response payload: request counters, check latency, the
-    /// goal cache's cumulative counters, and disk-tier state.
+    /// and the goal cache's cumulative counters.
     pub fn stats_json(&self) -> Json {
         let cache = self.compiler.solver().cache();
         let mut methods: Vec<(&str, Json)> =
@@ -185,22 +185,10 @@ impl Session {
                     ("hits", Json::Int(cache.hits() as i64)),
                     ("misses", Json::Int(cache.misses() as i64)),
                     ("entries", Json::Int(cache.len() as i64)),
-                    ("diskAttached", Json::Bool(cache.has_disk())),
-                    ("diskHits", Json::Int(cache.disk_hits() as i64)),
-                    ("diskLoaded", Json::Int(cache.disk_loaded() as i64)),
                 ]),
             ),
             ("filesTracked", Json::Int(self.files.len() as i64)),
         ])
-    }
-
-    /// Writes pending verdicts to the attached disk store, if any.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the store write.
-    pub fn flush_disk(&self) -> std::io::Result<Option<usize>> {
-        self.compiler.flush_disk()
     }
 
     /// Session statistics (for embedding; the wire shape is

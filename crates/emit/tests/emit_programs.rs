@@ -89,6 +89,28 @@ fn unsafe_blocks_match_proven_sites() {
                 );
             }
         }
+        // Each `goal #N` is an obligation number in `dmlc constraints`
+        // order, and must name a proven check obligation.
+        let obligations = compiled.obligations();
+        for comment in lines.iter().filter_map(|l| l.split_once("// SAFETY: ").map(|(_, c)| c)) {
+            for part in comment.split("; ") {
+                let n = part
+                    .strip_prefix("goal #")
+                    .and_then(|rest| rest.strip_suffix(" proven"))
+                    .and_then(|n| n.parse::<usize>().ok())
+                    .unwrap_or_else(|| panic!("{}: malformed SAFETY comment `{comment}`", p.name));
+                let (ob, verdict) = n
+                    .checked_sub(1)
+                    .and_then(|k| obligations.get(k))
+                    .unwrap_or_else(|| panic!("{}: goal #{n} names no obligation", p.name));
+                assert!(
+                    ob.kind.is_check() && verdict.is_proven(),
+                    "{}: goal #{n} is `{}`, {verdict:?}, not a proven check",
+                    p.name,
+                    ob.kind
+                );
+            }
+        }
     }
 }
 

@@ -11,33 +11,25 @@
 //! deterministic per canonical goal, so double-computation is only wasted
 //! work, never an inconsistency.
 //!
-//! An optional **disk tier** ([`GoalCache::attach_disk`]) backs the memory
-//! shards with a content-addressed store (see [`crate::disk`]): a memory
-//! miss probes the loaded file by stable goal hash, promotes any hit into
-//! the shard, and every insert is also queued for the next
-//! [`GoalCache::flush_disk`]. This is what lets verdicts survive process
-//! restarts and be shared across files and machines.
+//! The cache lives as long as the solver that owns it and no longer:
+//! verdicts stay warm across checks only inside one process, which is
+//! what a `dmlc serve` session is for.
 
 use crate::canon::CanonGoal;
-use crate::disk::{stable_goal_hash, DiskEntry, DiskStore};
 use dml_index::Verdict;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 const SHARDS: usize = 16;
 
-/// A sharded, thread-safe memo table from canonical goal to verdict, with
-/// an optional persistent disk tier.
+/// A sharded, thread-safe memo table from canonical goal to verdict.
 #[derive(Debug)]
 pub struct GoalCache {
     shards: [Mutex<HashMap<CanonGoal, Verdict>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk: Mutex<Option<DiskStore>>,
 }
 
 impl Default for GoalCache {
@@ -46,8 +38,6 @@ impl Default for GoalCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            disk: Mutex::new(None),
         }
     }
 }
@@ -64,88 +54,18 @@ impl GoalCache {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// Looks up a verdict, recording a hit or miss. On a memory miss the
-    /// disk tier (when attached) is probed by stable goal hash; a disk hit
-    /// is promoted into the memory shard and counted as a hit (and
-    /// separately in [`GoalCache::disk_hits`]).
+    /// Looks up a verdict, recording a hit or miss.
     pub fn get(&self, key: &CanonGoal) -> Option<Verdict> {
-        if let Some(found) = self.shard(key).lock().unwrap().get(key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(found);
-        }
-        if let Some(store) = self.disk.lock().unwrap().as_ref() {
-            if let Some(entry) = store.get(stable_goal_hash(key)) {
-                let verdict = entry.verdict.clone();
-                self.shard(key).lock().unwrap().insert(key.clone(), verdict.clone());
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(verdict);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let found = self.shard(key).lock().unwrap().get(key).cloned();
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Stores a verdict. Last writer wins on a racy double-compute; both
-    /// writers derived the verdict from the same canonical goal. With a
-    /// disk tier attached the entry is also queued for the next
-    /// [`GoalCache::flush_disk`].
+    /// writers derived the verdict from the same canonical goal.
     pub fn insert(&self, key: CanonGoal, result: Verdict) {
-        if let Some(store) = self.disk.lock().unwrap().as_mut() {
-            store.insert(
-                stable_goal_hash(&key),
-                DiskEntry { budget: key.budget, verdict: result.clone() },
-            );
-        }
         self.shard(&key).lock().unwrap().insert(key, result);
-    }
-
-    /// Attaches an on-disk store at `path` as the cache's second tier,
-    /// returning how many entries the file contributed. A missing, stale,
-    /// or corrupted file attaches an empty store (persistence never
-    /// fails a compile). Replaces any previously attached store without
-    /// flushing it.
-    pub fn attach_disk(&self, path: impl Into<PathBuf>) -> usize {
-        let store = DiskStore::open(path);
-        let loaded = store.loaded_count();
-        *self.disk.lock().unwrap() = Some(store);
-        loaded
-    }
-
-    /// Writes queued verdicts back to the attached store (no-op without
-    /// one, or when nothing new was inserted). Returns the total entries
-    /// now on disk when a write happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the underlying [`DiskStore::flush`].
-    pub fn flush_disk(&self) -> std::io::Result<Option<usize>> {
-        match self.disk.lock().unwrap().as_mut() {
-            Some(store) => store.flush(),
-            None => Ok(None),
-        }
-    }
-
-    /// The attached disk store's path, if any.
-    pub fn disk_path(&self) -> Option<PathBuf> {
-        self.disk.lock().unwrap().as_ref().map(|s| s.path().to_path_buf())
-    }
-
-    /// Entries the attached disk store held when it was opened (0 without
-    /// a store).
-    pub fn disk_loaded(&self) -> usize {
-        self.disk.lock().unwrap().as_ref().map_or(0, |s| s.loaded_count())
-    }
-
-    /// Lookups answered from the disk tier so far.
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// `true` when a disk store is attached (used by reporting to decide
-    /// whether disk counters are meaningful).
-    pub fn has_disk(&self) -> bool {
-        self.disk.lock().unwrap().is_some()
     }
 
     /// Total lookup hits so far.
@@ -204,32 +124,6 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn disk_tier_persists_and_promotes_across_cache_instances() {
-        let dir = std::env::temp_dir().join(format!("dml-cache-tier-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("verdicts.dmlcache");
-        let _ = std::fs::remove_file(&path);
-
-        let writer = GoalCache::new();
-        assert_eq!(writer.attach_disk(&path), 0, "no file yet");
-        writer.insert(key("a"), Verdict::Proven);
-        assert!(writer.flush_disk().unwrap().is_some());
-
-        // A fresh cache (cold memory shards) attached to the same file
-        // answers an alpha-renamed variant from disk and promotes it.
-        let reader = GoalCache::new();
-        assert_eq!(reader.attach_disk(&path), 1);
-        assert_eq!(reader.get(&key("renamed")), Some(Verdict::Proven));
-        assert_eq!(reader.disk_hits(), 1);
-        assert_eq!((reader.hits(), reader.misses()), (1, 0));
-        // Promoted: the second lookup is a plain memory hit.
-        assert_eq!(reader.get(&key("a")), Some(Verdict::Proven));
-        assert_eq!(reader.disk_hits(), 1);
-
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -94,10 +94,6 @@ pub struct SolverStats {
     pub cache_hits: usize,
     /// Goals that missed the verdict cache and were decided from scratch.
     pub cache_misses: usize,
-    /// Subset of `cache_hits` answered by the on-disk store (always 0
-    /// unless a disk cache is attached via
-    /// `GoalCache::attach_disk`).
-    pub cache_disk_hits: usize,
     /// Wall-clock time spent solving.
     pub solve_time: Duration,
     /// Per-phase latency histograms (see [`PhaseTimes`]). Timing buckets
@@ -120,7 +116,6 @@ impl SolverStats {
         self.lowered_vars += other.lowered_vars;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.cache_disk_hits += other.cache_disk_hits;
         self.solve_time += other.solve_time;
         self.phase_times.merge(&other.phase_times);
     }
