@@ -164,6 +164,10 @@ fn with_file(args: &[String], f: impl Fn(&str) -> ExitCode) -> ExitCode {
         eprintln!("missing file argument");
         return ExitCode::FAILURE;
     };
+    if let Some(extra) = args.get(2) {
+        eprintln!("unexpected argument `{extra}`");
+        return ExitCode::FAILURE;
+    }
     match std::fs::read_to_string(path) {
         Ok(src) => f(&src),
         Err(e) => {

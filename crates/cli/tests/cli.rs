@@ -103,6 +103,19 @@ fn constraints_fails_when_obligations_unproven() {
     assert!(stderr.contains("not proven"), "{stderr}");
 }
 
+#[test]
+fn constraints_and_strip_reject_stray_arguments() {
+    let example =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/bsearch.dml");
+    for (cmd, extra) in [("constraints", ["--disk-cache", "x.db"]), ("strip", ["extra", "more"])] {
+        let out = dmlc().arg(cmd).arg(&example).args(extra).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{cmd}: a stray argument must fail");
+        assert!(stderr.contains(&format!("unexpected argument `{}`", extra[0])), "{cmd}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd}: nothing runs");
+    }
+}
+
 /// A deliberately redundant guard (`i < n` hypothesis makes the condition
 /// entailed) for the lint tests.
 const LINTY: &str = r#"

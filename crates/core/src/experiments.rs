@@ -290,8 +290,7 @@ pub fn figure4() -> Vec<String> {
         .filter(|(o, _)| o.in_fun == "look" && !matches!(o.kind, dml_elab::ObKind::TypeEq))
     {
         let mut stats = dml_solver::SolverStats::default();
-        let reduced = dml_solver::goal::eliminate_existentials(&o.constraint, &mut stats);
-        for goal in dml_solver::goal::split_goals(&reduced) {
+        for goal in dml_solver::goal::extract_goals(&o.constraint, &mut stats) {
             out.push(format!(
                 "[{}] {}  ({})",
                 o.kind,

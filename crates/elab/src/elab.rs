@@ -313,8 +313,8 @@ impl<'e> Elaborator<'e> {
             return None;
         }
         let v = undet.pop().expect("one element");
-        let alone = matches!(x, IExp::Var(w) if *w == v && !y.free_vars().contains(&v))
-            || matches!(y, IExp::Var(w) if *w == v && !x.free_vars().contains(&v));
+        let alone = matches!(x, IExp::Var(w) if *w == v && !y.contains_var(&v))
+            || matches!(y, IExp::Var(w) if *w == v && !x.contains_var(&v));
         alone.then_some(v)
     }
 

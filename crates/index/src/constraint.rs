@@ -148,26 +148,6 @@ impl Constraint {
         }
     }
 
-    /// Simultaneous capture-free substitution of integer index variables in
-    /// one pass (see [`IExp::subst_many`](crate::iexp::IExp::subst_many)).
-    pub fn subst_many(&self, subs: &[(Var, crate::iexp::IExp)]) -> Constraint {
-        match self {
-            Constraint::Prop(p) => Constraint::Prop(p.subst_many(subs)),
-            Constraint::And(cs) => Constraint::And(cs.iter().map(|c| c.subst_many(subs)).collect()),
-            Constraint::Implies(p, c) => {
-                Constraint::Implies(p.subst_many(subs), Box::new(c.subst_many(subs)))
-            }
-            Constraint::Exists(w, s, c) => {
-                debug_assert!(subs.iter().all(|(v, _)| v != w), "binder ids are globally unique");
-                Constraint::Exists(w.clone(), *s, Box::new(c.subst_many(subs)))
-            }
-            Constraint::Forall(w, s, c) => {
-                debug_assert!(subs.iter().all(|(v, _)| v != w), "binder ids are globally unique");
-                Constraint::Forall(w.clone(), *s, Box::new(c.subst_many(subs)))
-            }
-        }
-    }
-
     /// Counts the atomic propositions (used for Table 1's constraint
     /// counts).
     pub fn atom_count(&self) -> usize {
