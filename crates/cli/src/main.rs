@@ -31,12 +31,14 @@
 //!
 //! Observability (see `docs/ARCHITECTURE.md` for the trace schema):
 //!
-//! * `dmlc explain` compiles with tracing on and renders each goal's proof
-//!   story — hypothesis set, elimination order, fuel, witness — in a
-//!   deterministic format (byte-identical across workers/cache settings).
+//! * `dmlc explain` compiles as `check` does, then decides each goal it
+//!   prints again, without the verdict cache, to render its proof story —
+//!   hypothesis set, elimination order, fuel, witness — in a deterministic
+//!   format (byte-identical across workers/cache settings).
 //! * `dmlc check --trace-out trace.json` writes a Chrome trace-event file
-//!   (loadable in `chrome://tracing` / Perfetto) with pipeline phase spans,
-//!   per-goal solver spans, fuel, and verdict-cache shard occupancy.
+//!   (loadable in `chrome://tracing` / Perfetto) with the compile's phase
+//!   spans, per-goal solver spans from the same explain pass, fuel, and
+//!   verdict-cache shard occupancy. The check itself runs as without it.
 //! * `dmlc table 1 --timings` appends per-phase solver totals and histograms.
 //!
 //! Session flags (accepted by `check`, `constraints`, `lint`, `run`/`eval`):
@@ -178,9 +180,8 @@ fn with_file(args: &[String], f: impl Fn(&str) -> ExitCode) -> ExitCode {
 }
 
 /// `dmlc check <files...> [--jobs N|auto] [--trace-out FILE]` — with
-/// `--trace-out`, compiles with tracing on and writes a Chrome
-/// trace-event file alongside the normal report (which stays
-/// byte-identical in the default mode). With `--remote SOCKET` the check
+/// `--trace-out`, also writes a Chrome trace-event file of the compile
+/// alongside the normal report, which stays as it is without the flag. With `--remote SOCKET` the check
 /// runs on a `dmlc serve` daemon instead and prints the same report.
 ///
 /// With several files (a batch), every file compiles against the same
@@ -236,7 +237,7 @@ fn check_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
     if files.len() == 1 && jobs == 1 {
         return check_one(session, &files[0], trace_out.as_deref());
     }
-    // The batch path compiles untraced, so it has no trace to write.
+    // A trace covers one compile.
     if trace_out.is_some() {
         eprintln!("--trace-out expects a single file and no --jobs");
         return ExitCode::FAILURE;
@@ -293,12 +294,7 @@ fn check_one(session: &SessionSetup, path: &str, trace_out: Option<&str>) -> Exi
         }
         return remote_check(socket, path, &src);
     }
-    let compiler = if trace_out.is_some() {
-        session.compiler.clone().trace(true)
-    } else {
-        session.compiler.clone()
-    };
-    match compiler.compile(&src) {
+    match session.compiler.compile(&src) {
         Ok(compiled) => {
             if let Some(out_path) = trace_out {
                 let trace = dml::chrome_trace(&compiled, &src, path);
@@ -454,7 +450,7 @@ fn strip(src: &str) -> ExitCode {
 }
 
 /// `dmlc explain <file> [--goal N]` — renders the deterministic per-goal
-/// proof traces of a traced compile.
+/// proof traces of a compile.
 fn explain_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
     let Some(path) = args.get(1) else {
         eprintln!("usage: dmlc explain <file.dml> [--goal N]");
@@ -491,20 +487,10 @@ fn explain_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
         };
         return remote_text(socket, "explain", &src, extra);
     }
-    match session.compiler.clone().trace(true).compile(&src) {
-        Ok(compiled) => {
-            if let Some(n) = goal {
-                let total = compiled.goal_count();
-                if n == 0 || n > total {
-                    match total {
-                        0 => eprintln!("goal {n} does not exist: the program has no solver goals"),
-                        1 => eprintln!("goal {n} does not exist: the only valid goal is 1"),
-                        _ => eprintln!("goal {n} does not exist: valid goals are 1..={total}"),
-                    }
-                    return ExitCode::FAILURE;
-                }
-            }
-            print!("{}", dml::render_explain(&compiled, &src, goal));
+    let rendered = session.compiler.compile(&src).map_err(|e| e.to_string());
+    match rendered.and_then(|compiled| dml::render_explain(&compiled, &src, goal)) {
+        Ok(text) => {
+            print!("{text}");
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -60,4 +60,4 @@ pub use pipeline::clear_gen_memo;
 pub use pipeline::{CompileStats, Compiled, Compiler, PipelineError};
 pub use report::{check_report, stable_body, CheckReport};
 pub use serve::{CheckOutcome, Session};
-pub use trace::{chrome_trace, render_explain, GoalRecord, ObligationTrace};
+pub use trace::{chrome_trace, render_explain};

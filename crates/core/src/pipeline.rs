@@ -22,7 +22,6 @@
 //! [`PipelineError::Unproven`] listing *all* failures sorted by source
 //! site.
 
-use crate::trace::{GoalRecord, ObligationTrace};
 use dml_analysis::Finding;
 use dml_elab::{elaborate, ElabOutput, Obligation, ResidualCheck, SiteContext};
 use dml_eval::{CheckConfig, Machine, Mode};
@@ -105,7 +104,6 @@ pub struct Compiled {
     program: sast::Program,
     env: Env,
     obligations: Vec<(Obligation, Verdict)>,
-    traces: Vec<ObligationTrace>,
     contexts: Vec<SiteContext>,
     proven_sites: HashSet<Span>,
     fully_verified: bool,
@@ -132,22 +130,6 @@ impl Compiled {
     /// `Unknown`.
     pub fn obligations(&self) -> &[(Obligation, Verdict)] {
         &self.obligations
-    }
-
-    /// Per-obligation proof traces, recorded only when the session was
-    /// built with [`Compiler::trace`]; empty otherwise. Each entry pairs an
-    /// obligation with the event story of every goal it split into — the
-    /// input of [`crate::trace::render_explain`] and
-    /// [`crate::trace::chrome_trace`].
-    pub fn traces(&self) -> &[ObligationTrace] {
-        &self.traces
-    }
-
-    /// Total number of traced solver goals across all obligations — the
-    /// valid range of `dmlc explain --goal` is `1..=goal_count()`. Zero
-    /// unless the session was built with [`Compiler::trace`].
-    pub fn goal_count(&self) -> usize {
-        self.traces.iter().map(|t| t.goals.len()).sum()
     }
 
     /// Per-site hypothesis snapshots recorded during elaboration (`if`
@@ -209,6 +191,13 @@ impl Compiled {
     /// [`Compiler::with_solver`] compile that reuses the same solver.
     pub fn solver(&self) -> &Solver {
         &self.solver
+    }
+
+    /// The compile's variable supply, past every variable its obligations
+    /// mention: deciding a goal again from it (the explain pass of
+    /// [`crate::trace`]) introduces no variable that clashes with one.
+    pub(crate) fn var_gen(&self) -> &VarGen {
+        &self.gen
     }
 
     /// Obligations that were not proven (including exhaustiveness
@@ -435,15 +424,6 @@ impl Compiler {
         self
     }
 
-    /// Enables proof-trace recording: every goal carries its event story
-    /// ([`Compiled::traces`]) for `dmlc explain` and `--trace-out`. Off by
-    /// default — tracing re-decides cache hits so each trace is complete,
-    /// making it strictly a diagnostic mode.
-    pub fn trace(mut self, on: bool) -> Compiler {
-        self.options = self.options.with_trace(on);
-        self
-    }
-
     /// Replaces the full solver options (budgets set earlier are
     /// overwritten; setters called later still apply).
     pub fn solver_options(mut self, options: SolverOptions) -> Compiler {
@@ -525,9 +505,9 @@ impl Compiler {
         // while preserving the shared cache (unless tightening changed:
         // see `Solver::with_options`).
         let solver = self.solver().with_options(self.options);
-        // Trace mode re-decides every goal for complete event stories;
-        // verdict reuse would leave reused obligations storyless.
-        let reuse = if self.options.trace || self.infer { None } else { reuse };
+        // Inference may attach annotations to any declaration, so no
+        // previous verdict is reused under it.
+        let reuse = if self.infer { None } else { reuse };
         let (program, infer_report) = if self.infer {
             match dml_infer::infer_refinements(&program, &solver) {
                 Ok(out) => (out.refined, Some(out.report)),
@@ -655,9 +635,7 @@ fn run_pipeline_ast(
             .collect::<Vec<_>>();
         prove_all(&solver, &constraints, &mut gen)
     };
-    let tracing = solver.options().trace;
     let mut results = Vec::with_capacity(obligations.len());
-    let mut traces = Vec::new();
     let mut solver_stats = dml_solver::SolverStats::default();
     let mut goals = 0usize;
     let mut outcomes = outcomes.into_iter();
@@ -669,17 +647,7 @@ fn run_pipeline_ast(
         let outcome = outcomes.next().expect("one outcome per solved obligation");
         goals += outcome.results.len();
         solver_stats.merge(&outcome.stats);
-        let verdict = outcome.verdict();
-        if tracing {
-            let records = outcome
-                .results
-                .into_iter()
-                .zip(outcome.traces)
-                .map(|((goal, verdict), trace)| GoalRecord { goal, verdict, trace })
-                .collect();
-            traces.push(ObligationTrace { obligation: ob.clone(), goals: records });
-        }
-        results.push((ob, verdict));
+        results.push((ob, outcome.verdict()));
     }
     // Snapshot-and-diff (see above): report the shared cache's movement
     // during *this* compile's solve, not since the cache was created.
@@ -724,7 +692,6 @@ fn run_pipeline_ast(
         program,
         env,
         obligations: results,
-        traces,
         contexts,
         proven_sites,
         fully_verified,
@@ -1027,33 +994,6 @@ where total <| {n:nat} int array(n) -> int
             assert_eq!(base.proven_sites(), c.proven_sites(), "workers={workers} cache={cache}");
             assert_eq!(base.stats().goals, c.stats().goals, "workers={workers} cache={cache}");
         }
-    }
-
-    /// A traced session records one [`ObligationTrace`] per obligation
-    /// with goal records matching the solver's goal count; untraced
-    /// sessions carry none (zero-cost default).
-    #[test]
-    fn trace_mode_records_goal_traces() {
-        let src = r#"
-fun first(v) = sub(v, 0)
-where first <| {n:nat | n > 0} int array(n) -> int
-"#;
-        let traced = Compiler::new().trace(true).compile(src).unwrap();
-        assert_eq!(traced.traces().len(), traced.obligations().len());
-        let goals: usize = traced.traces().iter().map(|t| t.goals.len()).sum();
-        assert_eq!(goals, traced.stats().goals);
-        for ot in traced.traces() {
-            for rec in &ot.goals {
-                assert_eq!(rec.trace.verdict(), Some(rec.verdict.to_string().as_str()));
-            }
-        }
-
-        let untraced = Compiler::new().compile(src).unwrap();
-        assert!(untraced.traces().is_empty());
-        // Tracing does not change verdicts.
-        let verdicts =
-            |c: &Compiled| c.obligations().iter().map(|(_, r)| r.clone()).collect::<Vec<_>>();
-        assert_eq!(verdicts(&traced), verdicts(&untraced));
     }
 
     #[test]

@@ -128,27 +128,18 @@ impl Session {
     }
 
     /// Renders proof traces for `src` — byte-identical to one-shot
-    /// `dmlc explain` (trace mode re-decides every goal, so neither the
-    /// shared cache nor incremental state can perturb the output).
+    /// `dmlc explain`. The compile runs through the session's warm cache;
+    /// the explain pass decides each printed goal again without it, so
+    /// what the cache holds cannot change the text.
     ///
     /// # Errors
     ///
-    /// The rendered compile error, or a goal-range message mirroring the
-    /// CLI's when `goal` is out of range.
+    /// The rendered compile error, or the goal-range message one-shot
+    /// `dmlc explain` prints when `goal` is out of range.
     pub fn explain(&mut self, src: &str, goal: Option<usize>) -> Result<String, String> {
         *self.stats.requests.entry("explain").or_insert(0) += 1;
-        let compiled = self.compiler.clone().trace(true).compile(src).map_err(|e| e.to_string())?;
-        if let Some(n) = goal {
-            let total = compiled.goal_count();
-            if n == 0 || n > total {
-                return Err(match total {
-                    0 => format!("goal {n} does not exist: the program has no solver goals"),
-                    1 => format!("goal {n} does not exist: the only valid goal is 1"),
-                    _ => format!("goal {n} does not exist: valid goals are 1..={total}"),
-                });
-            }
-        }
-        Ok(crate::trace::render_explain(&compiled, src, goal))
+        let compiled = self.compiler.compile(src).map_err(|e| e.to_string())?;
+        crate::trace::render_explain(&compiled, src, goal)
     }
 
     /// Runs annotation inference on `src`, returning the human report (or
@@ -347,8 +338,8 @@ where second <| {n:nat | n > 1} int array(n) -> int
         let mut s = Session::new(Compiler::new());
         s.check(Some("d.dml"), TWO_FUNS).unwrap(); // warm the session
         let daemon = s.explain(TWO_FUNS, None).unwrap();
-        let compiled = Compiler::new().trace(true).compile(TWO_FUNS).unwrap();
-        let one_shot = crate::trace::render_explain(&compiled, TWO_FUNS, None);
+        let compiled = Compiler::new().compile(TWO_FUNS).unwrap();
+        let one_shot = crate::trace::render_explain(&compiled, TWO_FUNS, None).unwrap();
         assert_eq!(daemon, one_shot);
     }
 }

@@ -1,83 +1,120 @@
 //! Proof-trace rendering: `dmlc explain` and `dmlc check --trace-out`.
 //!
-//! When a session is compiled with [`crate::Compiler::trace`], every proof
-//! goal carries a [`dml_obs::GoalTrace`] — the ordered event story of how
-//! the solver decided it (canonicalization, DNF split, each Fourier–Motzkin
-//! elimination round, fuel charges, witness search, verdict). This module
-//! turns those buffers into the two user-facing artifacts:
+//! Both compile exactly as `dmlc check` does, then make one explain pass
+//! over the finished [`Compiled`]: every obligation's goals are extracted
+//! again from its constraint ([`extract_goals`], the split the compile
+//! made), numbered from 1 across obligations, and the goals to be printed
+//! are decided again through [`dml_solver::Solver::explain`]. That records
+//! each goal's event story — canonicalization, DNF split, every
+//! Fourier–Motzkin elimination round, fuel, witness search, verdict —
+//! without reading or writing the verdict cache, so observing a compile
+//! changes nothing the compile did, and a story depends on its goal alone.
+//! The pass turns into the two user-facing artifacts:
 //!
 //! * [`render_explain`] — a deterministic, human-readable per-goal proof
-//!   trace. Configuration-dependent events (cache probes) are skipped and
-//!   wall times are never shown, so the output is byte-identical across
-//!   worker counts and cache settings.
-//! * [`chrome_trace`] — a Chrome trace-event-format timeline (pipeline
-//!   phases on one row, per-goal solver spans on another) carrying per-goal
-//!   wall time, fuel spent, the full event stream, and cache shard
-//!   occupancy. Wall-clock numbers vary run to run by nature; the *shape*
-//!   (event names, tags, metadata keys) is the stable contract documented
-//!   in `docs/ARCHITECTURE.md`.
+//!   trace. Wall times are never shown, so the output is byte-identical
+//!   across worker counts, cache settings and warm or cold caches.
+//! * [`chrome_trace`] — a Chrome trace-event-format timeline (the
+//!   compile's pipeline phases on one row, the explained goals on
+//!   another) carrying per-goal wall time, fuel spent, the full event
+//!   stream, and cache shard occupancy. Wall-clock numbers vary run to run
+//!   by nature; the *shape* (event names, tags, metadata keys) is the
+//!   stable contract documented in `docs/ARCHITECTURE.md`.
 
 use crate::pipeline::Compiled;
 use dml_elab::Obligation;
 use dml_index::Verdict;
 use dml_obs::json::{obj, Json};
 use dml_obs::{ChromeTrace, GoalTrace};
-use dml_solver::Goal;
+use dml_solver::goal::extract_goals;
+use dml_solver::{Goal, SolverStats};
 use std::fmt::Write as _;
 
-/// The recorded proof trace of one obligation: the obligation itself plus
-/// one [`GoalRecord`] per solver goal it split into, in generation order.
-#[derive(Debug, Clone)]
-pub struct ObligationTrace {
-    /// The elaboration-generated obligation.
-    pub obligation: Obligation,
-    /// Per-goal records, index-aligned with the solver's goal order.
-    pub goals: Vec<GoalRecord>,
+/// One obligation with the goals the explain pass decided again.
+struct ObligationTrace<'c> {
+    obligation: &'c Obligation,
+    goals: Vec<GoalRecord>,
 }
 
-/// One solver goal with its verdict and event trace.
-#[derive(Debug, Clone)]
-pub struct GoalRecord {
-    /// The goal sequent `∀ctx. hyps ⊃ concl`.
-    pub goal: Goal,
-    /// The verdict the solver reached.
-    pub verdict: Verdict,
-    /// The ordered event buffer recorded while deciding the goal.
-    pub trace: GoalTrace,
+/// One goal decided again: its number (1-based, across obligations), the
+/// goal sequent `∀ctx. hyps ⊃ concl`, the verdict and the event story.
+struct GoalRecord {
+    number: usize,
+    goal: Goal,
+    verdict: Verdict,
+    trace: GoalTrace,
 }
 
-/// Renders the per-obligation proof traces of a traced compile.
+/// The explain pass: every obligation of `compiled` with those of its
+/// goals that `select` accepts (by number) decided again, and the number
+/// of goals in all. Fresh variables come from past the compile's, so none
+/// clashes with a variable of a goal.
+fn explain_pass(
+    compiled: &Compiled,
+    select: impl Fn(usize) -> bool,
+) -> (Vec<ObligationTrace<'_>>, usize) {
+    let solver = compiled.solver();
+    let mut gen = compiled.var_gen().clone();
+    let mut total = 0;
+    let traces = compiled
+        .obligations()
+        .iter()
+        .map(|(obligation, _)| {
+            let goals = extract_goals(&obligation.constraint, &mut SolverStats::default());
+            let first = total + 1;
+            total += goals.len();
+            let goals = goals
+                .into_iter()
+                .zip(first..)
+                .filter(|&(_, number)| select(number))
+                .map(|(goal, number)| {
+                    let (verdict, trace) = solver.explain(&goal, &mut gen);
+                    GoalRecord { number, goal, verdict, trace }
+                })
+                .collect();
+            ObligationTrace { obligation, goals }
+        })
+        .collect();
+    (traces, total)
+}
+
+/// Renders the per-goal proof traces of a compile.
 ///
 /// Goals are numbered globally (1-based, generation order); `goal_filter`
-/// restricts the output to a single goal. The rendering is deterministic:
-/// cache-probe events are skipped and wall times never appear, so the same
-/// program produces byte-identical output for every `workers`/`cache`
+/// restricts the output to a single goal, and only that goal is decided
+/// again. The rendering is deterministic: wall times never appear, so the
+/// same program produces byte-identical output for every `workers`/`cache`
 /// configuration.
-pub fn render_explain(compiled: &Compiled, src: &str, goal_filter: Option<usize>) -> String {
-    let traces = compiled.traces();
+///
+/// # Errors
+///
+/// The message `dmlc explain` prints for a `goal_filter` outside
+/// `1..=goals`.
+pub fn render_explain(
+    compiled: &Compiled,
+    src: &str,
+    goal_filter: Option<usize>,
+) -> Result<String, String> {
+    let (traces, total) = explain_pass(compiled, |n| goal_filter.is_none_or(|want| want == n));
     let mut out = String::new();
-    if traces.is_empty() {
-        out.push_str("no proof trace recorded (compile with tracing enabled)\n");
-        return out;
-    }
-    let total: usize = traces.iter().map(|t| t.goals.len()).sum();
-    if let Some(want) = goal_filter {
-        if want == 0 || want > total {
-            let _ = writeln!(out, "goal {want} not found ({total} goal(s) recorded)");
-            return out;
+    match goal_filter {
+        Some(n) if n == 0 || n > total => {
+            return Err(match total {
+                0 => format!("goal {n} does not exist: the program has no solver goals"),
+                1 => format!("goal {n} does not exist: the only valid goal is 1"),
+                _ => format!("goal {n} does not exist: valid goals are 1..={total}"),
+            })
         }
-    } else {
-        let _ = writeln!(out, "proof trace: {} obligation(s), {total} goal(s)", traces.len());
+        Some(_) => {}
+        None => {
+            let _ = writeln!(out, "proof trace: {} obligation(s), {total} goal(s)", traces.len());
+        }
     }
-    let mut n = 0usize;
-    for ot in traces {
+    for ot in &traces {
         for rec in &ot.goals {
-            n += 1;
-            if goal_filter.is_some_and(|want| want != n) {
-                continue;
-            }
             let _ = writeln!(out);
-            let _ = writeln!(out, "goal {n} of {total}: {}", ot.obligation.trace_event(src));
+            let _ =
+                writeln!(out, "goal {} of {total}: {}", rec.number, ot.obligation.trace_event(src));
             if !rec.goal.ctx.is_empty() {
                 let ctx: Vec<String> =
                     rec.goal.ctx.iter().map(|(v, s)| format!("{v} : {s}")).collect();
@@ -87,7 +124,7 @@ pub fn render_explain(compiled: &Compiled, src: &str, goal_filter: Option<usize>
                 let _ = writeln!(out, "  hyp    {h}");
             }
             let _ = writeln!(out, "  |-     {}", rec.goal.concl);
-            for ev in rec.trace.events.iter().filter(|e| !e.is_config_dependent()) {
+            for ev in &rec.trace.events {
                 let _ = writeln!(out, "    {ev}");
             }
         }
@@ -102,17 +139,18 @@ pub fn render_explain(compiled: &Compiled, src: &str, goal_filter: Option<usize>
             }
         }
     }
-    out
+    Ok(out)
 }
 
-/// Builds the Chrome trace-event timeline of a traced compile.
+/// Builds the Chrome trace-event timeline of a compile.
 ///
-/// Layout: row 0 (`pipeline`) carries the generation and solve phase spans
-/// plus obligation/residual instants; row 1 (`goals`) lays the per-goal
-/// solver spans out *sequentially* from their measured durations — a
-/// synthetic timeline reflecting cost per goal, not concurrent scheduling.
-/// `otherData` carries program metadata, total fuel, and per-shard verdict
-/// cache occupancy.
+/// Layout: row 0 (`pipeline`) carries the compile's generation and solve
+/// phase spans plus obligation/residual instants; row 1 (`goals`) lays
+/// the explain pass's goal spans out *sequentially* from their measured
+/// durations — a synthetic timeline reflecting cost per goal, not
+/// concurrent scheduling. `otherData` carries program metadata, total
+/// fuel, the compile's cache hits and misses, and per-shard verdict cache
+/// occupancy.
 pub fn chrome_trace(compiled: &Compiled, src: &str, program: &str) -> ChromeTrace {
     let mut t = ChromeTrace::new();
     t.name_thread(0, "pipeline");
@@ -137,9 +175,8 @@ pub fn chrome_trace(compiled: &Compiled, src: &str, program: &str) -> ChromeTrac
         obj(vec![("goals", Json::Int(stats.goals as i64))]),
     );
     let mut ts = gen_us;
-    let mut n = 0usize;
     let mut fuel_total = 0u64;
-    for ot in compiled.traces() {
+    for ot in explain_pass(compiled, |_| true).0 {
         t.instant(
             &format!("obligation: {}", ot.obligation.kind),
             "elab",
@@ -148,7 +185,6 @@ pub fn chrome_trace(compiled: &Compiled, src: &str, program: &str) -> ChromeTrac
             ot.obligation.trace_event(src).args(),
         );
         for rec in &ot.goals {
-            n += 1;
             fuel_total += rec.trace.fuel_spent;
             let dur = (rec.trace.wall_ns / 1_000).max(1);
             let events: Vec<Json> = rec
@@ -158,7 +194,7 @@ pub fn chrome_trace(compiled: &Compiled, src: &str, program: &str) -> ChromeTrac
                 .map(|e| obj(vec![("tag", Json::Str(e.tag().into())), ("args", e.args())]))
                 .collect();
             t.span(
-                &format!("goal {n}"),
+                &format!("goal {}", rec.number),
                 "solver",
                 1,
                 ts,
@@ -206,38 +242,64 @@ where first <| {n:nat | n > 0} int array(n) -> int
 
     #[test]
     fn explain_renders_goals_and_verdicts() {
-        let c = Compiler::new().trace(true).compile(VERIFIED).unwrap();
-        let text = render_explain(&c, VERIFIED, None);
+        let c = Compiler::new().compile(VERIFIED).unwrap();
+        let text = render_explain(&c, VERIFIED, None).unwrap();
         assert!(text.contains("proof trace:"), "{text}");
         assert!(text.contains("goal 1 of"), "{text}");
         assert!(text.contains("verdict: proven"), "{text}");
-        assert!(!text.contains("cache "), "cache events are config-dependent: {text}");
+        assert!(!text.contains("cache "), "explain prints no cache events: {text}");
     }
 
     #[test]
     fn explain_goal_filter_selects_one_goal() {
-        let c = Compiler::new().trace(true).compile(VERIFIED).unwrap();
-        let all = render_explain(&c, VERIFIED, None);
-        let one = render_explain(&c, VERIFIED, Some(1));
+        let c = Compiler::new().compile(VERIFIED).unwrap();
+        let all = render_explain(&c, VERIFIED, None).unwrap();
+        let one = render_explain(&c, VERIFIED, Some(1)).unwrap();
         assert!(one.contains("goal 1 of"), "{one}");
         assert!(one.len() < all.len(), "filtered output is a subset");
-        let missing = render_explain(&c, VERIFIED, Some(999));
-        assert!(missing.contains("not found"), "{missing}");
+        let missing = render_explain(&c, VERIFIED, Some(999)).unwrap_err();
+        assert!(missing.contains("does not exist"), "{missing}");
     }
 
+    /// A goal filter decides exactly the goal it names again, while the
+    /// numbering still counts every goal.
     #[test]
-    fn explain_without_tracing_degrades_gracefully() {
-        let c = Compiler::new().compile(VERIFIED).unwrap();
-        let text = render_explain(&c, VERIFIED, None);
-        assert!(text.contains("no proof trace recorded"), "{text}");
+    fn goal_filter_decides_one_goal_again() {
+        let src = dml_programs::bsearch::SOURCE;
+        let c = Compiler::new().compile(src).unwrap();
+        let (traces, total) = explain_pass(&c, |n| n == 5);
+        assert_eq!(total, c.stats().goals);
+        assert_eq!(traces.len(), c.obligations().len());
+        let decided: Vec<usize> =
+            traces.iter().flat_map(|t| t.goals.iter().map(|r| r.number)).collect();
+        assert_eq!(decided, [5]);
+        let (all, _) = explain_pass(&c, |_| true);
+        let numbers: Vec<usize> =
+            all.iter().flat_map(|t| t.goals.iter().map(|r| r.number)).collect();
+        assert_eq!(numbers, (1..=total).collect::<Vec<_>>());
+    }
+
+    /// A program with no obligations has no goals to explain.
+    #[test]
+    fn explain_without_goals_renders_an_empty_trace() {
+        let src = "fun id(x) = x\n";
+        let c = Compiler::new().compile(src).unwrap();
+        assert_eq!(
+            render_explain(&c, src, None).unwrap(),
+            "proof trace: 0 obligation(s), 0 goal(s)\n"
+        );
+        assert_eq!(
+            render_explain(&c, src, Some(1)).unwrap_err(),
+            "goal 1 does not exist: the program has no solver goals"
+        );
     }
 
     #[test]
     fn explain_shows_unknown_reason_and_residual_for_nonlinear_goals() {
         let src = "fun get(m, i, j) = sub(m, i * j)\n\
                    where get <| {n:nat, i:nat, j:nat} int array(n) * int(i) * int(j) -> int\n";
-        let c = Compiler::new().trace(true).compile(src).unwrap();
-        let text = render_explain(&c, src, None);
+        let c = Compiler::new().compile(src).unwrap();
+        let text = render_explain(&c, src, None).unwrap();
         assert!(text.contains("non-linear"), "{text}");
         assert!(text.contains("fuel:"), "{text}");
         assert!(text.contains("residual runtime checks:"), "{text}");
@@ -245,13 +307,39 @@ where first <| {n:nat | n > 0} int array(n) -> int
 
     #[test]
     fn chrome_trace_has_phases_goals_and_metadata() {
-        let c = Compiler::new().trace(true).compile(VERIFIED).unwrap();
+        let c = Compiler::new().compile(VERIFIED).unwrap();
         let rendered = chrome_trace(&c, VERIFIED, "first").render();
         assert!(rendered.contains(r#""name":"generation""#), "{rendered}");
         assert!(rendered.contains(r#""name":"solve""#), "{rendered}");
         assert!(rendered.contains(r#""name":"goal 1""#), "{rendered}");
         assert!(rendered.contains(r#""cacheShardSizes":["#), "{rendered}");
-        assert!(rendered.contains(r#""schemaVersion":1"#), "{rendered}");
+        assert!(rendered.contains(r#""schemaVersion":2"#), "{rendered}");
         assert!(rendered.contains(r#""program":"first""#), "{rendered}");
+        assert!(!rendered.contains(r#""tag":"cache""#), "{rendered}");
+    }
+
+    /// Observing leaves the run alone: a warm compile is all cache hits,
+    /// the trace reports exactly those, and neither rendering looks up or
+    /// adds a verdict.
+    #[test]
+    fn observing_a_warm_compile_leaves_its_cache_alone() {
+        let src = dml_programs::bsearch::SOURCE;
+        let session = Compiler::new();
+        session.compile(src).unwrap();
+        let warm = session.compile(src).unwrap();
+        let s = &warm.stats().solver;
+        assert!(
+            s.cache_hits > 0 && s.cache_misses == 0,
+            "{} hits, {} misses",
+            s.cache_hits,
+            s.cache_misses
+        );
+        let cache = warm.solver().cache();
+        let before = (cache.hits(), cache.misses(), cache.len());
+        let trace = chrome_trace(&warm, src, "bsearch").render();
+        render_explain(&warm, src, None).unwrap();
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), before);
+        let hits = format!(r#""cacheHits":{}"#, s.cache_hits);
+        assert!(trace.contains(&hits) && trace.contains(r#""cacheMisses":0"#), "{trace}");
     }
 }

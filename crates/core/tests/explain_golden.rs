@@ -10,6 +10,10 @@
 //! recompiles the same source from scratch, so the sweep also pins
 //! generation as deterministic: each elaboration must render the same
 //! explain output byte for byte.
+//!
+//! Every example and every paper program also has its full rendering
+//! pinned by an FNV-1a digest, and each `--goal N` rendering must be goal
+//! N's block of the full one.
 
 use dml::{render_explain, Compiler, Solver, SolverOptions};
 use std::sync::Once;
@@ -27,12 +31,12 @@ fn force_helpers() {
 }
 
 fn explain(src: &str, workers: Option<usize>, cache: bool) -> String {
-    let mut compiler = Compiler::new().trace(true).cache(cache);
+    let mut compiler = Compiler::new().cache(cache);
     if let Some(workers) = workers {
         compiler = compiler.workers(workers);
     }
     let c = compiler.compile(src).expect("program compiles");
-    render_explain(&c, src, None)
+    render_explain(&c, src, None).unwrap()
 }
 
 fn assert_config_independent(name: &str, src: &str) -> String {
@@ -76,19 +80,20 @@ fn residual_example_explain_is_byte_identical_across_configs() {
     assert!(text.contains("residual runtime checks:"), "{text}");
 }
 
-/// A warm shared cache must not change the rendering either: tracing
-/// re-decides cache hits so every trace carries the full elimination story.
+/// A warm shared cache must not change the rendering either: the explain
+/// pass decides every goal again without the cache, so every trace carries
+/// the full elimination story.
 #[test]
 fn warm_cache_explain_matches_cold() {
     force_helpers();
     let src = dml_programs::bsearch::SOURCE;
-    let solver = Solver::new(SolverOptions::default().with_trace(true));
+    let solver = Solver::new(SolverOptions::default());
     let cold = Compiler::new().with_solver(&solver).compile(src).unwrap();
     let warm = Compiler::new().with_solver(&solver).compile(src).unwrap();
     assert!(warm.stats().solver.cache_hits > 0, "second compile hits the shared cache");
     assert_eq!(
-        render_explain(&cold, src, None),
-        render_explain(&warm, src, None),
+        render_explain(&cold, src, None).unwrap(),
+        render_explain(&warm, src, None).unwrap(),
         "warm-cache rendering is byte-identical to cold"
     );
 }
@@ -101,10 +106,10 @@ fn fnv(s: &str) -> u64 {
 /// The full rendering of `src` and its rendering for every goal
 /// `1..=total`, from one compile.
 fn renderings(name: &str, src: &str) -> (String, Vec<String>) {
-    let c = Compiler::new().trace(true).compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let full = render_explain(&c, src, None);
-    let total = c.goal_count();
-    let one = (1..=total).map(|n| render_explain(&c, src, Some(n))).collect();
+    let c = Compiler::new().compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let full = render_explain(&c, src, None).unwrap();
+    let total = c.stats().goals;
+    let one = (1..=total).map(|n| render_explain(&c, src, Some(n)).unwrap()).collect();
     (full, one)
 }
 

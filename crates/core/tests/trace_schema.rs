@@ -6,11 +6,11 @@
 use dml::{chrome_trace, Compiler};
 use dml_obs::json::Json;
 
+/// Every tag of schema version 2, which removed version 1's `cache`.
 const KNOWN_TAGS: &[&str] = &[
     "obligation",
     "fast_path",
     "canonicalized",
-    "cache",
     "hypothesis_dropped",
     "lowered",
     "dnf",
@@ -27,7 +27,7 @@ const KNOWN_TAGS: &[&str] = &[
 #[test]
 fn trace_out_json_matches_documented_schema() {
     let src = include_str!("../../../examples/residual.dml");
-    let compiled = Compiler::new().trace(true).compile(src).expect("compiles");
+    let compiled = Compiler::new().compile(src).expect("compiles");
     let rendered = chrome_trace(&compiled, src, "residual.dml").render();
     let root = Json::parse(&rendered).expect("trace is valid JSON");
 
@@ -36,7 +36,7 @@ fn trace_out_json_matches_documented_schema() {
     assert!(!events.is_empty());
     assert_eq!(root.get("displayTimeUnit").unwrap().as_str(), Some("ms"));
     let other = root.get("otherData").expect("otherData");
-    assert_eq!(other.get("schemaVersion").unwrap().as_i64(), Some(1));
+    assert_eq!(other.get("schemaVersion").unwrap().as_i64(), Some(2));
     for key in ["program", "constraints", "goals", "fuelSpent", "cacheShardSizes"] {
         assert!(other.get(key).is_some(), "otherData.{key} missing");
     }
@@ -78,6 +78,7 @@ fn trace_out_json_matches_documented_schema() {
         }
     }
     assert_eq!(goal_spans, compiled.stats().goals, "one span per solver goal");
+    assert!(!rendered.contains(r#""tag":"cache""#), "schema 2 has no cache event");
 
     // The residual example keeps a nonlinear check: a residual instant and
     // a nonzero Unknown verdict must be present.

@@ -110,7 +110,7 @@ mod tests {
         assert!(out.starts_with(r#"{"traceEvents":["#));
         assert!(out.contains(r#""ph":"X","ts":10,"dur":250"#));
         assert!(out.contains(r#""ph":"i","s":"g""#));
-        assert!(out.contains(r#""schemaVersion":1"#));
+        assert!(out.contains(r#""schemaVersion":2"#));
         assert!(out.contains(r#""program":"bsearch""#));
         assert!(out.ends_with("}"));
         assert_eq!(t.len(), 3);

@@ -2,10 +2,10 @@
 //!
 //! Events are plain data (strings and integers); producers render index
 //! vocabulary (variables, inequalities, sites) to strings *before* emitting,
-//! using stable names so that traces are byte-identical across worker
-//! counts and cache configurations. Events that are inherently
-//! configuration-dependent ([`TraceEvent::Cache`]) are marked as such and
-//! excluded from the deterministic `dmlc explain` rendering.
+//! using stable names. A goal's events are recorded when it is explained:
+//! after the compile, the goal alone is decided again, with no cache, so
+//! its story is byte-identical across worker counts, cache configurations
+//! and whatever the compile itself looked up.
 
 use std::fmt;
 
@@ -38,12 +38,6 @@ pub enum TraceEvent {
         vars: usize,
         /// Number of hypotheses after sorting and deduplication.
         hyps: usize,
-    },
-    /// Verdict-cache lookup. Configuration-dependent: excluded from the
-    /// deterministic `dmlc explain` rendering, present in `--trace-out`.
-    Cache {
-        /// Whether the canonical goal was already cached.
-        hit: bool,
     },
     /// A non-linear hypothesis could not be lowered and was weakened away.
     HypothesisDropped {
@@ -127,7 +121,6 @@ impl TraceEvent {
             TraceEvent::Obligation { .. } => "obligation",
             TraceEvent::FastPath { .. } => "fast_path",
             TraceEvent::Canonicalized { .. } => "canonicalized",
-            TraceEvent::Cache { .. } => "cache",
             TraceEvent::HypothesisDropped { .. } => "hypothesis_dropped",
             TraceEvent::Lowered { .. } => "lowered",
             TraceEvent::Dnf { .. } => "dnf",
@@ -140,13 +133,6 @@ impl TraceEvent {
             TraceEvent::Residual { .. } => "residual",
             TraceEvent::Verdict { .. } => "verdict",
         }
-    }
-
-    /// `true` for events whose presence or payload depends on the session
-    /// configuration (workers, cache) rather than on the goal itself.
-    /// Deterministic renderings (`dmlc explain`) skip these.
-    pub fn is_config_dependent(&self) -> bool {
-        matches!(self, TraceEvent::Cache { .. })
     }
 
     /// Event payload as a JSON object (used by the Chrome-trace writer).
@@ -162,7 +148,6 @@ impl TraceEvent {
             TraceEvent::Canonicalized { vars, hyps } => {
                 obj(vec![("vars", Json::Int(*vars as i64)), ("hyps", Json::Int(*hyps as i64))])
             }
-            TraceEvent::Cache { hit } => obj(vec![("hit", Json::Bool(*hit))]),
             TraceEvent::HypothesisDropped { expr } => obj(vec![("expr", Json::Str(expr.clone()))]),
             TraceEvent::Lowered { fresh_vars } => {
                 obj(vec![("fresh_vars", Json::Int(*fresh_vars as i64))])
@@ -214,9 +199,6 @@ impl fmt::Display for TraceEvent {
             TraceEvent::Canonicalized { vars, hyps } => {
                 write!(f, "canonicalized: {vars} vars, {hyps} hyps")
             }
-            TraceEvent::Cache { hit } => {
-                write!(f, "cache {}", if *hit { "hit" } else { "miss" })
-            }
             TraceEvent::HypothesisDropped { expr } => {
                 write!(f, "hypothesis dropped (non-linear): {expr}")
             }
@@ -252,11 +234,8 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// The ordered event buffer for one proof goal.
-///
-/// Each goal gets its own buffer regardless of which worker decided it; the
-/// parallel driver merges buffers back in obligation order, so a trace's
-/// content and ordering are independent of `workers`.
+/// The ordered event buffer for one proof goal, filled by the solver's
+/// `explain` as it decides the goal again.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GoalTrace {
     /// Events in emission order.
@@ -300,15 +279,7 @@ mod tests {
     #[test]
     fn tags_are_stable() {
         assert_eq!(TraceEvent::FastPath { rule: "assumption" }.tag(), "fast_path");
-        assert_eq!(TraceEvent::Cache { hit: true }.tag(), "cache");
         assert_eq!(TraceEvent::Verdict { verdict: "proven".into() }.tag(), "verdict");
-    }
-
-    #[test]
-    fn only_cache_is_config_dependent() {
-        assert!(TraceEvent::Cache { hit: false }.is_config_dependent());
-        assert!(!TraceEvent::Dnf { disjuncts: 2 }.is_config_dependent());
-        assert!(!TraceEvent::Verdict { verdict: "proven".into() }.is_config_dependent());
     }
 
     #[test]

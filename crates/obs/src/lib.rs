@@ -8,9 +8,9 @@
 //! Four pieces:
 //!
 //! - [`TraceEvent`] / [`GoalTrace`]: typed per-goal event buffers. The
-//!   solver fills one buffer per proof goal; buffers are merged in
-//!   obligation order by the parallel driver, so traces are deterministic
-//!   under `workers > 1`.
+//!   solver fills one when it explains a goal: after the compile, with no
+//!   cache, for the goals `dmlc explain` or `--trace-out` prints, so a
+//!   story depends on the goal alone.
 //! - [`TimingHistogram`]: fixed-bucket log-scale latency histograms used by
 //!   `SolverStats` for per-phase timing.
 //! - [`ChromeTrace`]: a writer for the Chrome trace-event format
@@ -37,5 +37,6 @@ pub use hist::TimingHistogram;
 pub use json::Json;
 
 /// Version of the `--trace-out` JSON contract documented in
-/// `docs/ARCHITECTURE.md`. Bumped on any breaking schema change.
-pub const SCHEMA_VERSION: u32 = 1;
+/// `docs/ARCHITECTURE.md`. Bumped on any breaking schema change; version 2
+/// removed the `cache` event.
+pub const SCHEMA_VERSION: u32 = 2;

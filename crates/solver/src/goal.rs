@@ -67,10 +67,8 @@ impl fmt::Display for Goal {
 /// let opts = SolverOptions::default()
 ///     .with_fuel(Some(10_000))                     // FM pair-combination budget
 ///     .with_deadline(Some(Duration::from_secs(1))) // wall-clock budget
-///     .with_workers(Some(1))                       // sequential solving
-///     .with_trace(true);                           // record per-goal event traces
+///     .with_workers(Some(1));                      // sequential solving
 /// assert_eq!(opts.fuel, Some(10_000));
-/// assert!(opts.trace);
 /// ```
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy)]
@@ -95,23 +93,11 @@ pub struct SolverOptions {
     /// yields `Unknown(Deadline)` (never cached — wall-clock verdicts are
     /// machine-dependent).
     pub deadline: Option<Duration>,
-    /// Record a per-goal [`GoalTrace`] (obligation → canonicalization →
-    /// elimination rounds → verdict) in [`Outcome::traces`]. Off by
-    /// default; tracing re-decides cache hits so every trace carries the
-    /// full elimination story, which makes it strictly a diagnostic mode.
-    pub trace: bool,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        SolverOptions {
-            tighten: true,
-            workers: None,
-            cache: true,
-            fuel: None,
-            deadline: None,
-            trace: false,
-        }
+        SolverOptions { tighten: true, workers: None, cache: true, fuel: None, deadline: None }
     }
 }
 
@@ -146,12 +132,6 @@ impl SolverOptions {
         self
     }
 
-    /// Enables or disables per-goal trace recording.
-    pub fn with_trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-
     /// The budget class verdicts computed under these options belong to.
     pub fn budget_class(&self) -> BudgetClass {
         match self.fuel {
@@ -166,11 +146,6 @@ impl SolverOptions {
 pub struct Outcome {
     /// Each goal with its verdict, in generation order.
     pub results: Vec<(Goal, Verdict)>,
-    /// Per-goal traces, index-aligned with `results` when
-    /// [`SolverOptions::trace`] is on; empty otherwise. Each goal's buffer
-    /// is filled by whichever worker decided it and merged back in goal
-    /// order, so traces are deterministic under parallel solving.
-    pub traces: Vec<GoalTrace>,
     /// Accumulated statistics.
     pub stats: SolverStats,
 }
@@ -253,9 +228,8 @@ impl Solver {
         let mut stats = SolverStats::default();
         let goals = extract_goals(c, &mut stats);
         let mut results = Vec::with_capacity(goals.len());
-        let mut traces = Vec::new();
         for goal in goals {
-            let (r, tr) = self.decide_traced(&goal, gen, &mut stats);
+            let r = self.decide(&goal, gen, &mut stats);
             stats.goals += 1;
             match &r {
                 Verdict::Proven => stats.proven += 1,
@@ -267,13 +241,10 @@ impl Solver {
                 // the conservative direction.
                 _ => stats.not_proven += 1,
             }
-            if let Some(tr) = tr {
-                traces.push(tr);
-            }
             results.push((goal, r));
         }
         stats.solve_time = start.elapsed();
-        Outcome { results, traces, stats }
+        Outcome { results, stats }
     }
 
     /// Decides an entailment `ctx; hyps ⊢ concl` directly, without going
@@ -324,34 +295,37 @@ impl Solver {
     /// cheap syntactic fast paths (fast-path goals never enter the cache —
     /// deciding them again is cheaper than hashing them).
     pub fn decide(&self, goal: &Goal, gen: &mut VarGen, stats: &mut SolverStats) -> Verdict {
-        self.decide_traced(goal, gen, stats).0
+        let start = Instant::now();
+        let v = self.decide_goal(goal, gen, stats);
+        stats.phase_times.goal.record(start.elapsed());
+        v
     }
 
-    /// [`Solver::decide`] returning the goal's [`GoalTrace`] as well.
-    ///
-    /// The trace is `Some` exactly when [`SolverOptions::trace`] is on. In
-    /// trace mode the cache is still probed (so the trace records the
-    /// hit/miss) but the goal is always re-decided, so every trace carries
-    /// the full elimination story regardless of what earlier solves warmed
-    /// the cache — this is what makes `dmlc explain` output independent of
-    /// the cache configuration.
-    pub fn decide_traced(
-        &self,
-        goal: &Goal,
-        gen: &mut VarGen,
-        stats: &mut SolverStats,
-    ) -> (Verdict, Option<GoalTrace>) {
+    /// Decides a single goal again and tells how: the [`GoalTrace`] of
+    /// fast path or canonicalization, then every lowering, DNF and
+    /// elimination step, the fuel charged, the verdict and the wall time.
+    /// The verdict cache is neither read nor written, so the story is the
+    /// same whatever earlier solves left in it; the verdict is the one
+    /// [`Solver::decide`] reaches. `dmlc explain` and `--trace-out` call
+    /// this after the compile, for the goals they print.
+    pub fn explain(&self, goal: &Goal, gen: &mut VarGen) -> (Verdict, GoalTrace) {
         let start = Instant::now();
-        let mut tr = self.opts.trace.then(GoalTrace::default);
-        let combos_before = stats.fm_combinations;
-        let v = self.decide_goal(goal, gen, stats, tr.as_mut());
-        let elapsed = start.elapsed();
-        stats.phase_times.goal.record(elapsed);
-        if let Some(t) = tr.as_mut() {
-            t.fuel_spent = (stats.fm_combinations - combos_before) as u64;
-            t.push(TraceEvent::Verdict { verdict: v.to_string() });
-            t.wall_ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        }
+        let mut stats = SolverStats::default();
+        let mut tr = GoalTrace::default();
+        let v = match self.fast_path(goal) {
+            Some((v, rule)) => {
+                tr.push(TraceEvent::FastPath { rule });
+                v
+            }
+            None => {
+                let key = canonicalize_budgeted(goal, self.opts.budget_class());
+                tr.push(TraceEvent::Canonicalized { vars: key.sorts.len(), hyps: key.hyps.len() });
+                self.decide_uncached(goal, gen, &mut stats, Some(&mut tr))
+            }
+        };
+        tr.fuel_spent = stats.fm_combinations as u64;
+        tr.push(TraceEvent::Verdict { verdict: v.to_string() });
+        tr.wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         (v, tr)
     }
 
@@ -380,50 +354,26 @@ impl Solver {
     }
 
     /// The one decide path: fast paths, then the cache, then the full
-    /// decision procedure. With a trace buffer every step is recorded and
-    /// a cache hit is re-decided instead of served (see
-    /// [`Solver::decide_traced`]); the decision itself is the same.
-    fn decide_goal(
-        &self,
-        goal: &Goal,
-        gen: &mut VarGen,
-        stats: &mut SolverStats,
-        mut tr: Option<&mut GoalTrace>,
-    ) -> Verdict {
-        if let Some((v, rule)) = self.fast_path(goal) {
-            if let Some(t) = tr {
-                t.push(TraceEvent::FastPath { rule });
-            }
+    /// decision procedure.
+    fn decide_goal(&self, goal: &Goal, gen: &mut VarGen, stats: &mut SolverStats) -> Verdict {
+        if let Some((v, _)) = self.fast_path(goal) {
             return v;
         }
-        if !self.opts.cache && tr.is_none() {
+        if !self.opts.cache {
             return self.decide_uncached(goal, gen, stats, None);
         }
         // Verdicts are keyed by budget class: a fuel-truncated Unknown must
         // never masquerade as the unlimited answer (or vice versa).
         let key = canonicalize_budgeted(goal, self.opts.budget_class());
-        if let Some(t) = tr.as_deref_mut() {
-            t.push(TraceEvent::Canonicalized { vars: key.sorts.len(), hyps: key.hyps.len() });
+        if let Some(r) = self.cache.get(&key) {
+            stats.cache_hits += 1;
+            return r;
         }
-        if self.opts.cache {
-            let cached = self.cache.get(&key);
-            if let Some(t) = tr.as_deref_mut() {
-                t.push(TraceEvent::Cache { hit: cached.is_some() });
-            }
-            match cached {
-                Some(r) => {
-                    stats.cache_hits += 1;
-                    if tr.is_none() {
-                        return r;
-                    }
-                }
-                None => stats.cache_misses += 1,
-            }
-        }
-        let r = self.decide_uncached(goal, gen, stats, tr);
+        stats.cache_misses += 1;
+        let r = self.decide_uncached(goal, gen, stats, None);
         // Deadline verdicts depend on wall-clock scheduling, so they are
         // recomputed every time rather than poisoning the shared cache.
-        if self.opts.cache && r != Verdict::Unknown(UnknownReason::Deadline) {
+        if r != Verdict::Unknown(UnknownReason::Deadline) {
             self.cache.insert(key, r.clone());
         }
         r
@@ -431,8 +381,8 @@ impl Solver {
 
     /// The expensive part of [`Solver::decide`]: lowering, DNF expansion,
     /// and Fourier–Motzkin refutation, with no cache consultation. `tr`
-    /// receives the per-step events in trace mode; the decision itself is
-    /// identical either way.
+    /// receives the per-step events under [`Solver::explain`]; the decision
+    /// itself is identical either way.
     fn decide_uncached(
         &self,
         goal: &Goal,
@@ -1472,9 +1422,9 @@ mod tests {
             residual_existential: false,
         };
         let mut stats = SolverStats::default();
-        let solver = Solver::new(SolverOptions::default().with_trace(true));
-        let (v, tr) = solver.decide_traced(&goal, &mut g, &mut stats);
-        let tr = tr.expect("trace mode");
+        let solver = solver();
+        let v = solver.decide(&goal, &mut g, &mut stats);
+        let (_, tr) = solver.explain(&goal, &mut g);
         assert_eq!(v, Verdict::Unknown(UnknownReason::PossiblyFalsifiable));
         assert_eq!(stats.disjuncts_refuted, 0);
         assert!(tr.events.contains(&TraceEvent::Dnf { disjuncts: 2 }));
@@ -1497,18 +1447,16 @@ mod tests {
             concl: Prop::le(IExp::var(x), IExp::lit(100)),
             residual_existential: false,
         };
-        for trace in [false, true] {
-            let s = Solver::new(SolverOptions::default().with_trace(trace));
-            let mut stats = SolverStats::default();
-            let (v, tr) = s.decide_traced(&goal, &mut g, &mut stats);
-            assert_eq!(v, Verdict::Unknown(UnknownReason::Blowup));
-            assert_eq!(stats.fm_combinations, 0);
-            assert_eq!(stats.disjuncts_refuted, 0);
-            if let Some(tr) = tr {
-                assert_eq!(tr.fuel_spent, 0);
-                assert!(!tr.events.iter().any(|e| matches!(e, TraceEvent::Dnf { .. })));
-            }
-        }
+        let s = solver();
+        let mut stats = SolverStats::default();
+        let v = s.decide(&goal, &mut g, &mut stats);
+        assert_eq!(v, Verdict::Unknown(UnknownReason::Blowup));
+        assert_eq!(stats.fm_combinations, 0);
+        assert_eq!(stats.disjuncts_refuted, 0);
+        let (v, tr) = s.explain(&goal, &mut g);
+        assert_eq!(v, Verdict::Unknown(UnknownReason::Blowup));
+        assert_eq!(tr.fuel_spent, 0);
+        assert!(!tr.events.iter().any(|e| matches!(e, TraceEvent::Dnf { .. })));
         // With one hypothesis fewer the expansion fits (2^8 = 256
         // disjuncts) and elimination runs.
         let mut fits = goal.clone();
@@ -1724,54 +1672,77 @@ mod tests {
         assert!(lax.prove(&c, &mut g).all_proven());
     }
 
-    /// Trace mode returns one trace per goal, ending in a verdict event
-    /// that matches the returned verdict, and never changes verdicts.
-    #[test]
-    fn trace_mode_aligns_with_results_and_verdicts() {
-        let mut g = VarGen::new();
-        let c = chain_goal(&mut g);
-        let plain = solver().prove(&c, &mut g);
-        assert!(plain.traces.is_empty(), "tracing is off by default");
-        let traced = Solver::new(SolverOptions::default().with_trace(true));
-        let outcome = traced.prove(&c, &mut g);
-        assert_eq!(outcome.traces.len(), outcome.results.len());
-        for ((_, verdict), tr) in outcome.results.iter().zip(&outcome.traces) {
-            assert_eq!(tr.verdict(), Some(verdict.to_string().as_str()));
-        }
-        assert_eq!(
-            plain.results.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
-            outcome.results.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
-        );
-        // The chain goal needs real elimination: its trace must show it.
-        let tr = &outcome.traces[0];
-        assert!(tr.events.iter().any(|e| matches!(e, TraceEvent::Eliminate { .. })));
-        assert!(tr.events.iter().any(|e| matches!(e, TraceEvent::Contradiction { .. })));
-        assert_eq!(tr.fuel_spent, plain.stats.fm_combinations as u64);
+    /// The goals of `c`, as `prove` extracts them.
+    fn goals_of(c: &Constraint) -> Vec<Goal> {
+        extract_goals(c, &mut SolverStats::default())
     }
 
-    /// The deterministic (non-config-dependent) trace events are
-    /// byte-identical across cache on/off — cache hits are re-decided in
-    /// trace mode, so every configuration sees the full elimination story.
+    /// A fast-path goal, the chain goal (real elimination), a refuted goal,
+    /// a non-linear one and a DNF blowup: `explain` reaches `decide`'s
+    /// verdict on each, its story ends in that verdict, and it charges
+    /// the fuel `decide` charges on a fresh solver.
     #[test]
-    fn trace_events_deterministic_across_cache_configs() {
+    fn explain_reaches_the_verdict_decide_does() {
+        let mut g = VarGen::new();
+        let x = g.fresh("x");
+        let le = |k: i64| Prop::le(IExp::var(x.clone()), IExp::lit(k));
+        let goal = |hyps: Vec<Prop>, concl: Prop| Goal {
+            ctx: vec![(x.clone(), Sort::Int)],
+            hyps,
+            concl,
+            residual_existential: false,
+        };
+        let mut goals = goals_of(&chain_goal(&mut g));
+        goals.push(goal(vec![le(3)], le(3)));
+        goals.push(goal(vec![Prop::le(IExp::lit(0), IExp::var(x.clone()))], le(5)));
+        goals.push(goal(
+            vec![],
+            Prop::le(IExp::var(x.clone()) * IExp::var(x.clone()), IExp::lit(9)),
+        ));
+        goals.push(goal(
+            (0..9).map(|i| Prop::cmp(Cmp::Ne, IExp::var(x.clone()), IExp::lit(i))).collect(),
+            le(100),
+        ));
+        for goal in &goals {
+            let mut stats = SolverStats::default();
+            let decided = solver().decide(goal, &mut g, &mut stats);
+            let (explained, tr) = solver().explain(goal, &mut g);
+            assert_eq!(explained, decided, "{goal}");
+            assert_eq!(tr.verdict(), Some(decided.to_string().as_str()), "{goal}");
+            assert_eq!(tr.fuel_spent, stats.fm_combinations as u64, "{goal}");
+        }
+        // The chain goal needs real elimination: its story must show it.
+        let (_, tr) = solver().explain(&goals[0], &mut g);
+        assert!(tr.events.iter().any(|e| matches!(e, TraceEvent::Eliminate { .. })));
+        assert!(tr.events.iter().any(|e| matches!(e, TraceEvent::Contradiction { .. })));
+        let (_, tr) = solver().explain(&goals[1], &mut g);
+        assert_eq!(tr.events[0], TraceEvent::FastPath { rule: "assumption" });
+    }
+
+    /// A goal already in a warm cache gets the story it gets on a fresh
+    /// solver, on one with the cache off too, and explaining it leaves
+    /// the cache as it was: no lookup, no entry.
+    #[test]
+    fn explain_neither_reads_nor_writes_the_cache() {
         let mut g = VarGen::new();
         let c = chain_goal(&mut g);
-        let stable = |opts: SolverOptions| {
-            let s = Solver::new(opts.with_trace(true));
-            // Prove twice: the second run hits the warm cache.
-            s.prove(&c, &mut g.clone());
-            let outcome = s.prove(&c, &mut g.clone());
-            outcome
-                .traces
-                .iter()
-                .flat_map(|t| t.events.clone())
-                .filter(|e| !e.is_config_dependent())
-                .collect::<Vec<_>>()
+        let goal = &goals_of(&c)[0];
+        let story = |s: &Solver, g: &mut VarGen| {
+            let (v, tr) = s.explain(goal, g);
+            (v, tr.events, tr.fuel_spent)
         };
-        let cached = stable(SolverOptions::default());
-        let uncached = stable(SolverOptions::default().with_cache(false));
-        assert_eq!(cached, uncached);
-        assert!(!cached.is_empty());
+        let fresh = story(&solver(), &mut g.clone());
+        let warm = solver();
+        assert!(warm.prove(&c, &mut g).all_proven());
+        let before = (warm.cache().hits(), warm.cache().misses(), warm.cache().len());
+        assert_eq!(before, (0, 1, 1), "the prove warmed the cache");
+        assert_eq!(story(&warm, &mut g.clone()), fresh);
+        assert_eq!((warm.cache().hits(), warm.cache().misses(), warm.cache().len()), before);
+        let uncached = Solver::new(SolverOptions::default().with_cache(false));
+        assert_eq!(story(&uncached, &mut g.clone()), fresh);
+        let cold = solver();
+        story(&cold, &mut g);
+        assert!(cold.cache().is_empty(), "explain inserts nothing");
     }
 
     /// A Refuted goal's extracted witness really falsifies the original
@@ -1790,11 +1761,12 @@ mod tests {
                 Box::new(Constraint::Prop(Prop::le(IExp::var(n), IExp::lit(5)))),
             )),
         );
-        let s = Solver::new(SolverOptions::default().with_trace(true));
+        let s = solver();
         let outcome = s.prove(&c, &mut g);
         assert_eq!(outcome.results[0].1, Verdict::Refuted);
-        let witness = outcome.traces[0].witness().expect("refuted goal records a witness");
         let goal = &outcome.results[0].0;
+        let (_, tr) = s.explain(goal, &mut g);
+        let witness = tr.witness().expect("refuted goal records a witness");
         let env: std::collections::HashMap<Var, i64> = goal
             .ctx
             .iter()
@@ -1845,7 +1817,6 @@ mod tests {
                 Goal { ctx: vec![], hyps: vec![], concl: Prop::True, residual_existential: false };
             Outcome {
                 results: verdicts.into_iter().map(|v| (goal.clone(), v)).collect(),
-                traces: vec![],
                 stats: SolverStats::default(),
             }
         };

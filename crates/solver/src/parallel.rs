@@ -4,11 +4,7 @@
 //! solved concurrently. The design keeps the solve phase *deterministic*:
 //!
 //! - results come back in obligation order regardless of worker count or
-//!   scheduling (every obligation owns a result slot) — this includes
-//!   per-goal [`dml_obs::GoalTrace`] buffers when tracing is on: each
-//!   goal's events are buffered by whichever worker decided it and ride
-//!   inside its [`Outcome`], so the merged trace stream is identical for
-//!   every worker count;
+//!   scheduling (every obligation owns a result slot);
 //! - fresh-variable generation is lock-free and collision-free under
 //!   work-stealing: each claimed chunk leases a disjoint id range from a
 //!   [`dml_index::VarLease`] at execution time — worker-fresh variables

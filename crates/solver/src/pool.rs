@@ -24,8 +24,8 @@
 //!   at execution time, instead of partitioning ids per worker at spawn
 //!   time (which assumes a fixed worker set).
 //! - Determinism: every result lands in its obligation's slot, so the
-//!   merged output (verdicts, stats, per-goal trace buffers) is identical
-//!   for every worker count and every steal schedule.
+//!   merged output (verdicts, stats) is identical for every worker count
+//!   and every steal schedule.
 //!
 //! ## Safety
 //!
