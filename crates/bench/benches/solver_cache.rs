@@ -7,11 +7,13 @@
 //! * `--json`  — additionally write `BENCH_solver.json` at the repo root;
 //! * `--assert-ablation` — exit nonzero if the `workers=auto, cache=true`
 //!   ablation row regresses against `workers=1, cache=true` (the CI guard
-//!   that keeps the parallel solver a net win). "Regresses" means a median
-//!   *not strictly faster* where the machine has parallelism to exploit; on
-//!   a single-core runner — where `workers=auto` resolves to the sequential
-//!   path and a strict win is physically meaningless — it means more than
-//!   5% slower (the parallel plumbing must cost nothing).
+//!   that keeps the parallel solver a net win). Each round times the two
+//!   back to back, and `workers=auto` wins a round when it is *strictly
+//!   faster* where the machine has parallelism to exploit, or at most 5%
+//!   slower on a single-core runner — where `workers=auto` resolves to the
+//!   sequential path, a strict win is physically meaningless and the
+//!   parallel plumbing must cost nothing. "Regresses" means it wins no
+//!   more than half of the rounds.
 //!
 //! "Cold" compiles each benchmark with a fresh solver (empty verdict
 //! cache), so it measures a genuinely cold compile; "warm" compiles
@@ -110,13 +112,19 @@ fn main() {
     // Every round times all four configs back to back.
     let configs: [(Option<usize>, &str, bool); 4] =
         [(Some(1), "1", true), (Some(1), "1", false), (None, "auto", true), (None, "auto", false)];
+    // Each round's (workers=auto, workers=1) pair with the cache on;
+    // `sample` runs the warm-up rounds first.
+    let mut pairs: Vec<(Duration, Duration)> = Vec::new();
     let ablation = sample(warmup, n, || {
-        configs.map(|(workers, _, cache)| {
+        let round = configs.map(|(workers, _, cache)| {
             let opts = SolverOptions::default().with_workers(workers).with_cache(cache);
             let stats = compile_all(&|_| Compiler::new().solver_options(opts));
             stats.iter().map(|s| s.solve_time).sum::<Duration>()
-        })
+        });
+        pairs.push((round[2], round[0]));
+        round
     });
+    let pairs = &pairs[warmup..];
     let mut ablation_rows = Vec::new();
     for (&(_, label, cache), spread) in configs.iter().zip(&ablation) {
         println!("solver_cache/ablation/workers={label},cache={cache}: {spread}");
@@ -127,23 +135,31 @@ fn main() {
         ]));
     }
     // Parallel solving must be a net win over sequential on the very suite
-    // the paper reports. On a machine with no parallelism to exploit
-    // (`pool_helpers == 0`, i.e. one core), `workers=auto` resolves to the
-    // sequential path, so a *strict* win is physically meaningless there;
-    // the row instead asserts the parallel plumbing costs nothing (within a
-    // 5% noise allowance of sequential).
+    // the paper reports, in more than half of the rounds: one comparison of
+    // medians flips under host load. On a machine with no parallelism to
+    // exploit (`pool_helpers == 0`, i.e. one core), `workers=auto` resolves
+    // to the sequential path, so a *strict* win is physically meaningless
+    // there; a round instead asserts the parallel plumbing costs nothing
+    // (within a 5% noise allowance of sequential).
     let parallelism_available = pool_helpers > 0;
     let (parallel_solve, sequential_solve) = (ablation[2].median, ablation[0].median);
-    let parallel_strictly_faster = if parallelism_available {
-        parallel_solve < sequential_solve
-    } else {
-        parallel_solve <= sequential_solve * 1.05
-    };
+    let round_wins = pairs
+        .iter()
+        .filter(|&&(parallel, sequential)| {
+            if parallelism_available {
+                parallel < sequential
+            } else {
+                parallel.as_secs_f64() <= sequential.as_secs_f64() * 1.05
+            }
+        })
+        .count();
+    let parallel_strictly_faster = 2 * round_wins > pairs.len();
     println!(
         "solver_cache/ablation: workers=auto {parallel_solve:.3} ms vs workers=1 \
-         {sequential_solve:.3} ms, medians ({})",
+         {sequential_solve:.3} ms, medians; auto won {round_wins} of {} rounds ({})",
+        pairs.len(),
         match (parallelism_available, parallel_strictly_faster) {
-            (true, true) => "parallel < sequential",
+            (true, true) => "parallel < sequential in most rounds",
             (false, true) => "single core: parallel plumbing within noise of sequential",
             (_, false) => "PARALLEL REGRESSION",
         }
@@ -205,6 +221,8 @@ fn main() {
                     ("solve_warm_ms", warm_total.to_json()),
                     ("warm_strictly_faster", Json::Bool(warm_strictly_faster)),
                     ("parallel_strictly_faster", Json::Bool(parallel_strictly_faster)),
+                    ("parallel_round_wins", Json::Int(round_wins as i64)),
+                    ("ablation_rounds", Json::Int(pairs.len() as i64)),
                 ]),
             ),
             ("ablation", Json::Array(ablation_rows)),
@@ -222,8 +240,10 @@ fn main() {
 
     if args.flag("--assert-ablation") && !parallel_strictly_faster {
         eprintln!(
-            "solver_cache: ablation regression — workers=auto ({parallel_solve:.3} ms) is not \
-             strictly faster than workers=1 ({sequential_solve:.3} ms) with the cache on"
+            "solver_cache: ablation regression — workers=auto won {round_wins} of {} rounds \
+             against workers=1 with the cache on (medians {parallel_solve:.3} ms vs \
+             {sequential_solve:.3} ms)",
+            pairs.len()
         );
         std::process::exit(1);
     }
