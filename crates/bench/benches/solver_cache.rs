@@ -149,7 +149,7 @@ fn main() {
             if parallelism_available {
                 parallel < sequential
             } else {
-                parallel.as_secs_f64() <= sequential.as_secs_f64() * 1.05
+                parallel <= sequential.mul_f64(1.05)
             }
         })
         .count();
@@ -222,7 +222,6 @@ fn main() {
                     ("warm_strictly_faster", Json::Bool(warm_strictly_faster)),
                     ("parallel_strictly_faster", Json::Bool(parallel_strictly_faster)),
                     ("parallel_round_wins", Json::Int(round_wins as i64)),
-                    ("ablation_rounds", Json::Int(pairs.len() as i64)),
                 ]),
             ),
             ("ablation", Json::Array(ablation_rows)),

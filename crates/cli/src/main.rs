@@ -181,8 +181,9 @@ fn with_file(args: &[String], f: impl Fn(&str) -> ExitCode) -> ExitCode {
 
 /// `dmlc check <files...> [--jobs N|auto] [--trace-out FILE]` — with
 /// `--trace-out`, also writes a Chrome trace-event file of the compile
-/// alongside the normal report, which stays as it is without the flag. With `--remote SOCKET` the check
-/// runs on a `dmlc serve` daemon instead and prints the same report.
+/// alongside the normal report, which stays as it is without the flag.
+/// With `--remote SOCKET` the check runs on a `dmlc serve` daemon instead
+/// and prints the same report.
 ///
 /// With several files (a batch), every file compiles against the same
 /// warm session — canonically-equal goals dedupe across files — and the

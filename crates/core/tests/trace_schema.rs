@@ -6,7 +6,7 @@
 use dml::{chrome_trace, Compiler};
 use dml_obs::json::Json;
 
-/// Every tag of schema version 2, which removed version 1's `cache`.
+/// Every tag of schema version 2.
 const KNOWN_TAGS: &[&str] = &[
     "obligation",
     "fast_path",

@@ -37,6 +37,5 @@ pub use hist::TimingHistogram;
 pub use json::Json;
 
 /// Version of the `--trace-out` JSON contract documented in
-/// `docs/ARCHITECTURE.md`. Bumped on any breaking schema change; version 2
-/// removed the `cache` event.
+/// `docs/ARCHITECTURE.md`. Bumped on any breaking schema change.
 pub const SCHEMA_VERSION: u32 = 2;
