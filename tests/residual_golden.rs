@@ -75,3 +75,38 @@ fn residual_check_executes_and_is_counted_at_runtime() {
     assert_eq!(machine.counters.array_checks_residual, 1, "…and was counted residual");
     assert_eq!(machine.counters.residual(), 1);
 }
+
+/// A type error blocks every elimination: `broken` returns `int` where its
+/// annotation promises `int(n+1)`, so no site runs unchecked although the
+/// solver proves `sub(v, 0)`'s guard. The residual listing and DML006
+/// name only the site whose own guard failed (`sub(v, 5)`), while the
+/// site counts and inference count every site the fail-safe keeps checked.
+const BROKEN: &str = "fun broken(v) = (sub(v, 0); sub(v, 5))\n\
+                      where broken <| {n:nat | n > 1} int array(n) -> int(n+1)\n";
+
+#[test]
+fn a_type_error_keeps_every_check() {
+    let compiled = Compiler::new().compile(BROKEN).expect("permissive mode compiles");
+    assert!(!compiled.fully_verified());
+    assert!(compiled.proven_sites().is_empty(), "the type error blocks elimination");
+    assert_eq!(compiled.unproven_sites().len(), 2);
+    let report = dml::check_report(&compiled, BROKEN);
+    assert!(!report.ok, "ill-typed programs fail `check`");
+    assert!(report.text.contains("proven check sites: 0; unproven: 2\n"), "{}", report.text);
+
+    let failing = BROKEN.find("sub(v, 5)").unwrap() as u32;
+    let residual = compiled.residual_checks();
+    assert_eq!(residual.len(), 1, "{residual:?}");
+    assert_eq!(residual[0].site.start, failing);
+    let dml006: Vec<_> = compiled.lints().into_iter().filter(|f| f.code == "DML006").collect();
+    assert_eq!(dml006.len(), 1, "{dml006:?}");
+    assert_eq!(dml006[0].span.start, failing);
+
+    let sites = compiled.site_verdicts();
+    assert_eq!(sites.len(), 2);
+    assert!(sites.iter().all(|s| !s.proven), "{sites:?}");
+
+    let inferred = Compiler::new().infer(true).compile(BROKEN).expect("compiles");
+    let text = inferred.infer_report().expect("inference ran").render_human(BROKEN);
+    assert_eq!(text.matches("blocked: a non-check obligation failed").count(), 2, "{text}");
+}
