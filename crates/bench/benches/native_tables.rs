@@ -80,7 +80,7 @@ fn main() {
                 let crate_name = format!("{}_{tag}", dml_emit::sanitize_crate_name(p.name));
                 let opts = EmitOptions { variant, crate_name: crate_name.clone() };
                 let emitted =
-                    emit_program(compiled.program(), compiled.env(), &schemes, &sites, &opts)
+                    emit_program(compiled.program(), compiled.env(), &schemes, sites, &opts)
                         .unwrap_or_else(|e| panic!("{}: emission failed: {e}", p.name));
                 assert!(
                     emitted.driver_fallback.is_none(),

@@ -39,7 +39,7 @@
 //!   (loadable in `chrome://tracing` / Perfetto) with the compile's phase
 //!   spans, per-goal solver spans from the same explain pass, fuel, and
 //!   verdict-cache shard occupancy. The check itself runs as without it.
-//! * `dmlc table 1 --timings` appends per-phase solver totals and histograms.
+//! * `dmlc table 1 --timings` appends per-phase solver time totals.
 //!
 //! Session flags (accepted by `check`, `constraints`, `lint`, `run`/`eval`):
 //!
@@ -787,7 +787,7 @@ fn emit_rust(compiler: &Compiler, args: &[String]) -> ExitCode {
         name.unwrap_or_else(|| format!("{}_{variant_tag}", dml_emit::sanitize_crate_name(stem)));
     let opts = dml_emit::EmitOptions { variant, crate_name: crate_name.clone() };
     let emitted =
-        match dml_emit::emit_program(compiled.program(), compiled.env(), &schemes, &sites, &opts) {
+        match dml_emit::emit_program(compiled.program(), compiled.env(), &schemes, sites, &opts) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("{e}");

@@ -53,8 +53,8 @@ pub struct Table1Row {
     /// (unproven obligations — graceful degradation). Zero for fully
     /// verified programs.
     pub residual_sites: usize,
-    /// Per-phase solver latency histograms (always recorded, only rendered
-    /// by `dmlc table 1 --timings`; see [`table1_timings`]).
+    /// Per-phase solver time totals (always recorded, only rendered by
+    /// `dmlc table 1 --timings`; see [`table1_timings`]).
     pub phase_times: dml_solver::PhaseTimes,
 }
 
@@ -94,19 +94,18 @@ pub fn table1_rendered() -> Table {
     table1_rows_rendered(&table1())
 }
 
-/// Renders the per-phase solver timing histograms aggregated over every
-/// Table 1 row (`dmlc table 1 --timings`): each phase's total time, then
-/// its bucket counts. Timings vary run to run, so this never enters golden
-/// comparisons.
+/// Renders the per-phase solver time totals aggregated over every Table 1
+/// row (`dmlc table 1 --timings`). Timings vary run to run, so this never
+/// enters golden comparisons.
 pub fn table1_timings(rows: &[Table1Row]) -> String {
     let mut total = dml_solver::PhaseTimes::default();
     for r in rows {
         total.merge(&r.phase_times);
     }
     let mut out = String::from("\nsolver phase timings (all programs):\n");
-    for (label, hist) in total.phases() {
-        let ms = hist.total().as_secs_f64() * 1e3;
-        out.push_str(&format!("  {label:<16} {ms:>9.3} ms  {hist}\n"));
+    for (label, time) in total.phases() {
+        let ms = time.as_secs_f64() * 1e3;
+        out.push_str(&format!("  {label:<16} {ms:>9.3} ms\n"));
     }
     out
 }

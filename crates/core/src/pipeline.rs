@@ -23,7 +23,7 @@
 //! site.
 
 use dml_analysis::Finding;
-use dml_elab::{elaborate, ElabOutput, Obligation, ResidualCheck, SiteContext};
+use dml_elab::{elaborate, ElabOutput, Elimination, Obligation, ResidualCheck, SiteContext};
 use dml_eval::{CheckConfig, Machine, Mode};
 use dml_index::VarGen;
 use dml_solver::{prove_all, Solver, SolverOptions, Verdict};
@@ -105,8 +105,10 @@ pub struct Compiled {
     env: Env,
     obligations: Vec<(Obligation, Verdict)>,
     contexts: Vec<SiteContext>,
+    elimination: Elimination,
+    /// The eliminated sites of `elimination`, as the set the interpreter
+    /// looks sites up in.
     proven_sites: HashSet<Span>,
-    fully_verified: bool,
     stats: CompileStats,
     top_level: HashMap<String, dml_types::ty::Scheme>,
     solver: Solver,
@@ -206,34 +208,32 @@ impl Compiled {
         self.obligations.iter().filter(|(_, r)| !r.is_proven())
     }
 
+    /// The compile's check-elimination decision, which every site view
+    /// below reads.
+    pub(crate) fn elimination(&self) -> &Elimination {
+        &self.elimination
+    }
+
     /// The check sites whose bound/tag checks stay in the compiled program
-    /// (graceful degradation): every unproven *check* obligation,
-    /// deduplicated by site and sorted by source position, with the
-    /// solver's reason. Empty for fully verified programs.
+    /// because one of their own guards did not prove (graceful
+    /// degradation), sorted by source position, with the first unproven
+    /// guard's reason. Empty for fully verified programs.
     pub fn residual_checks(&self) -> Vec<ResidualCheck> {
-        dml_elab::residual_checks(&self.obligations)
+        self.elimination.residual_checks()
     }
 
     /// Non-exhaustive `case` expressions whose missing constructors could
     /// not be proven impossible under the index constraints. A refined
     /// match like `case (s : 'a stack(n) | n >= 2) of PUSH(_, PUSH(_, r))`
     /// produces *no* warning — the refinement proves the other arms dead.
-    pub fn match_warnings(&self) -> Vec<(Span, String)> {
-        self.obligations
-            .iter()
-            .filter_map(|(o, r)| match (&o.kind, r) {
-                (dml_elab::ObKind::Unreachable { con }, r) if !r.is_proven() => {
-                    Some((o.site, con.clone()))
-                }
-                _ => None,
-            })
-            .collect()
+    pub fn match_warnings(&self) -> &[(Span, String)] {
+        &self.elimination.match_warnings
     }
 
     /// `true` if every obligation was proven — the program dependently
     /// type-checks and all `sub`/`update`/`nth` sites compile unchecked.
     pub fn fully_verified(&self) -> bool {
-        self.fully_verified
+        self.elimination.fully_verified()
     }
 
     /// The call sites whose run-time checks are eliminated.
@@ -242,26 +242,18 @@ impl Compiled {
     }
 
     /// Per-site verdict summaries for backends: one record per checking
-    /// primitive call site, with the 1-based goal numbers (in
-    /// [`Compiled::obligations`] order — the numbering `dmlc constraints`
-    /// prints) and whether the site may compile unchecked. The proven flag
-    /// is fail-safe: it is only set for members of
-    /// [`Compiled::proven_sites`].
-    pub fn site_verdicts(&self) -> Vec<dml_elab::SiteVerdict> {
-        dml_elab::site_verdicts(&self.obligations, &self.proven_sites)
+    /// primitive call site, sorted by source position, with the 1-based
+    /// goal numbers (in [`Compiled::obligations`] order — the numbering
+    /// `dmlc constraints` prints) and whether the site may compile
+    /// unchecked.
+    pub fn site_verdicts(&self) -> &[dml_elab::SiteVerdict] {
+        &self.elimination.sites
     }
 
     /// Check-primitive call sites that could *not* be proven (their checks
     /// stay at run time even in eliminated mode).
     pub fn unproven_sites(&self) -> HashSet<Span> {
-        let mut all: HashSet<Span> = self
-            .obligations
-            .iter()
-            .filter(|(o, _)| o.kind.is_check())
-            .map(|(o, _)| o.site)
-            .collect();
-        all.retain(|s| !self.proven_sites.contains(s));
-        all
+        self.elimination.sites.iter().filter(|s| !s.proven).map(|s| s.site).collect()
     }
 
     /// Compilation statistics.
@@ -389,12 +381,6 @@ impl Compiler {
         self
     }
 
-    /// Removes the fuel budget (the default).
-    pub fn unlimited_fuel(mut self) -> Compiler {
-        self.options = self.options.with_fuel(None);
-        self
-    }
-
     /// Sets the per-goal wall-clock deadline. Goals that pass it come back
     /// `Unknown(Deadline)` (never cached — wall-clock verdicts are
     /// machine-dependent).
@@ -454,11 +440,6 @@ impl Compiler {
         &self.options
     }
 
-    /// Whether this session is strict.
-    pub fn is_strict(&self) -> bool {
-        self.strict
-    }
-
     /// Enables annotation inference (`dml-infer`): before solving, an
     /// interval abstract interpretation proposes `where`-clauses for
     /// unannotated functions, every candidate is verified through this
@@ -468,11 +449,6 @@ impl Compiler {
     pub fn infer(mut self, on: bool) -> Compiler {
         self.infer = on;
         self
-    }
-
-    /// Whether annotation inference is enabled.
-    pub fn is_infer(&self) -> bool {
-        self.infer
     }
 
     /// Runs the pipeline on `src`.
@@ -522,16 +498,11 @@ impl Compiler {
         let mut compiled = run_pipeline_ast(program, &solver, reuse)?;
         compiled.infer_report = infer_report;
         if self.strict && !compiled.fully_verified() {
-            let mut unproven: Vec<(Obligation, Verdict)> = compiled
-                .obligations
-                .iter()
-                .filter(|(o, r)| {
-                    !matches!(o.kind, dml_elab::ObKind::Unreachable { .. }) && !r.is_proven()
-                })
-                .cloned()
-                .collect();
-            unproven.sort_by_key(|(o, _)| (o.site.start, o.site.end));
-            return Err(PipelineError::Unproven(unproven));
+            let obligations = &compiled.obligations;
+            let unproven = compiled.elimination.unproven(obligations);
+            return Err(PipelineError::Unproven(
+                unproven.into_iter().map(|g| obligations[g - 1].clone()).collect(),
+            ));
         }
         Ok(compiled)
     }
@@ -655,30 +626,9 @@ fn run_pipeline_ast(
     solver_stats.cache_misses = (solver.cache().misses() - cache_snapshot.1) as usize;
     let solve_time = solve_start.elapsed();
 
-    // Check elimination (§4): a program that type-checks compiles its
-    // proven `sub`/`update`/`nth` sites to the unchecked primitives. If
-    // any *non-check* obligation failed, the program does not dependently
-    // type-check and nothing is eliminated (fail-safe). Exhaustiveness
-    // obligations are warnings (potential match failures), never blockers.
-    let non_check_ok = results.iter().all(|(o, r)| {
-        o.kind.is_check() || matches!(o.kind, dml_elab::ObKind::Unreachable { .. }) || r.is_proven()
-    });
-    let mut site_ok: HashMap<Span, bool> = HashMap::new();
-    for (o, r) in &results {
-        if o.kind.is_check() {
-            let e = site_ok.entry(o.site).or_insert(true);
-            *e &= r.is_proven();
-        }
-    }
-    let proven_sites: HashSet<Span> = if non_check_ok {
-        site_ok.iter().filter(|(_, ok)| **ok).map(|(s, _)| *s).collect()
-    } else {
-        HashSet::new()
-    };
-    let fully_verified = non_check_ok
-        && results
-            .iter()
-            .all(|(o, r)| matches!(o.kind, dml_elab::ObKind::Unreachable { .. }) || r.is_proven());
+    // Check elimination (§4), fail-safe included: see `dml_elab::eliminate`.
+    let elimination = dml_elab::eliminate(&results);
+    let proven_sites = elimination.sites.iter().filter(|s| s.proven).map(|s| s.site).collect();
 
     let stats = CompileStats {
         constraints: results.len(),
@@ -693,8 +643,8 @@ fn run_pipeline_ast(
         env,
         obligations: results,
         contexts,
+        elimination,
         proven_sites,
-        fully_verified,
         stats,
         top_level,
         solver,

@@ -10,7 +10,6 @@
 //! [`VOLATILE_PREFIXES`].
 
 use crate::pipeline::{CompileStats, Compiled};
-use dml_elab::ObKind;
 use std::fmt::Write as _;
 
 /// Line prefixes whose content varies run to run (wall-clock timing,
@@ -92,15 +91,13 @@ pub(crate) fn report_body(compiled: &Compiled, src: &str) -> CheckReport {
         return CheckReport { text, ok: true };
     }
     // Not fully verified. In permissive mode, unproven *check* obligations
-    // degrade gracefully to residual runtime checks; only failed non-check
-    // obligations (type equations, guards) make the program ill-typed.
-    let ill_typed = compiled
-        .failures()
-        .any(|(o, _)| !o.kind.is_check() && !matches!(o.kind, ObKind::Unreachable { .. }));
-    for rc in compiled.residual_checks() {
+    // degrade gracefully to residual runtime checks; only failed type
+    // obligations (index equations, guards) make the program ill-typed.
+    let residual = compiled.residual_checks();
+    for rc in &residual {
         let _ = writeln!(text, "{rc}");
     }
-    if ill_typed {
+    if !compiled.elimination().blocking.is_empty() {
         text.push_str("NOT fully verified; unproven obligations:\n\n");
         text.push_str(&compiled.explain_failures(src));
         CheckReport { text, ok: false }
@@ -109,7 +106,7 @@ pub(crate) fn report_body(compiled: &Compiled, src: &str) -> CheckReport {
             text,
             "{} residual runtime check(s) remain (permissive mode; \
              use --strict to make this an error)",
-            compiled.residual_checks().len()
+            residual.len()
         );
         CheckReport { text, ok: true }
     }

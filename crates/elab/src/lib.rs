@@ -12,7 +12,8 @@
 //! The obligations whose kind is an array-bound or list-tag guard are the
 //! paper's eliminable checks: if the solver proves all of a call site's
 //! guard obligations (and the program as a whole type-checks), that `sub`/
-//! `update`/`nth` call compiles to the unchecked primitive.
+//! `update`/`nth` call compiles to the unchecked primitive. [`eliminate`]
+//! makes that decision for a whole compile.
 //!
 //! Key mechanisms, mirroring §3.1:
 //!
@@ -31,15 +32,13 @@
 //!   adds `p` (resp. `¬p`) to the hypotheses of the branches.
 
 pub mod elab;
+pub mod elimination;
 pub mod obligation;
 pub mod report;
-pub mod residual;
 pub mod site;
-pub mod sites;
 
 pub use elab::{elaborate, ElabError, ElabOutput, Elaborator};
+pub use elimination::{eliminate, residual_checks, Elimination, ResidualCheck, SiteVerdict};
 pub use obligation::{ObKind, Obligation};
 pub use report::{explain, sequent_view, SequentView};
-pub use residual::{residual_checks, ResidualCheck};
 pub use site::{SiteContext, SiteRole};
-pub use sites::{site_verdicts, SiteVerdict};

@@ -33,7 +33,7 @@ fn emit(variant: Variant) -> dml_emit::EmittedCrate {
             }
         ),
     };
-    emit_program(compiled.program(), compiled.env(), &schemes, &sites, &opts).expect("emission")
+    emit_program(compiled.program(), compiled.env(), &schemes, sites, &opts).expect("emission")
 }
 
 /// Every access hoists base before index before the access itself — in

@@ -40,7 +40,7 @@ fn emit_with(source: &str, name: &str, workers: usize, cache: bool) -> (String, 
         variant: Variant::UncheckedProven,
         crate_name: format!("{}_unchecked", dml_emit::sanitize_crate_name(name)),
     };
-    let emitted = emit_program(compiled.program(), compiled.env(), &schemes, &sites, &opts)
+    let emitted = emit_program(compiled.program(), compiled.env(), &schemes, sites, &opts)
         .unwrap_or_else(|e| panic!("{name}: emission failed: {e}"));
     (emitted.main_rs, proven, emitted.stats.unchecked_sites)
 }

@@ -38,7 +38,7 @@ fn emit(name: &str, source: &str, variant: Variant) -> dml_emit::EmittedCrate {
             }
         ),
     };
-    emit_program(compiled.program(), compiled.env(), &schemes, &sites, &opts)
+    emit_program(compiled.program(), compiled.env(), &schemes, sites, &opts)
         .unwrap_or_else(|e| panic!("{name}: emission failed: {e}"))
 }
 

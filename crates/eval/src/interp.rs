@@ -190,11 +190,6 @@ impl Machine {
         Ok(f)
     }
 
-    /// Resets the check counters.
-    pub fn reset_counters(&mut self) {
-        self.counters.reset();
-    }
-
     fn burn(&mut self) -> Result<(), EvalError> {
         if let Some(f) = &mut self.fuel {
             if *f == 0 {

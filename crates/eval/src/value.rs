@@ -211,11 +211,6 @@ pub fn match_pattern(
 /// The body expression type re-exported for closure construction.
 pub type Body = Expr;
 
-/// Exhaustive-match helper: `true` if a value is a function-like value.
-pub fn is_function(v: &Value) -> bool {
-    matches!(v, Value::Closure(_) | Value::Partial(_, _) | Value::ConFn(_) | Value::Prim(_))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

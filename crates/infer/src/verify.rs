@@ -20,6 +20,7 @@
 //! identical to the original program.
 
 use crate::synth::Candidate;
+use dml_elab::Obligation;
 use dml_index::VarGen;
 use dml_solver::{prove_all, Solver, Verdict};
 use dml_syntax::ast::{self as sast};
@@ -30,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Result of pushing one (possibly refined) program through the
 /// verification pipeline.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct MiniCheck {
     /// Whether every non-check obligation proved.
     pub non_check_ok: bool,
@@ -44,8 +45,9 @@ pub struct MiniCheck {
     pub failing_funs: BTreeSet<String>,
 }
 
-/// Runs phase 1 + elaboration + solving on `program`, mirroring the
-/// compiler pipeline's verdict collapse and fail-safe gating.
+/// Runs phase 1 + elaboration + solving on `program`, then reads the
+/// result through the compiler's own check-elimination decision
+/// ([`MiniCheck::from_results`]).
 pub fn check_program(program: &sast::Program, solver: &Solver) -> Result<MiniCheck, String> {
     let mut gen = VarGen::new();
     let env = program_env(program, &mut gen).map_err(|e| e.message)?;
@@ -56,39 +58,39 @@ pub fn check_program(program: &sast::Program, solver: &Solver) -> Result<MiniChe
         let constraints: Vec<_> = out.obligations.iter().map(|ob| &ob.constraint).collect();
         prove_all(solver, &constraints, &mut gen)
     };
+    let results: Vec<(Obligation, Verdict)> =
+        out.obligations.into_iter().zip(outcomes.iter().map(|o| o.verdict())).collect();
+    Ok(MiniCheck::from_results(&results))
+}
 
-    let mut non_check_ok = true;
-    let mut failing_funs = BTreeSet::new();
-    let mut site_ok: BTreeMap<Span, (bool, String)> = BTreeMap::new();
-    let mut all_check_sites = BTreeSet::new();
-    for (ob, outcome) in out.obligations.iter().zip(&outcomes) {
-        let verdict = outcome.verdict();
-        if ob.kind.is_check() {
-            all_check_sites.insert(ob.site);
-            let e = site_ok.entry(ob.site).or_insert_with(|| (true, String::new()));
-            if !verdict.is_proven() {
-                e.0 = false;
-                e.1 = format!("{}: {}", ob.kind, verdict_desc(&verdict));
-            }
-        } else if !matches!(ob.kind, dml_elab::ObKind::Unreachable { .. }) && !verdict.is_proven() {
-            non_check_ok = false;
-            failing_funs.insert(ob.in_fun.clone());
+impl MiniCheck {
+    /// Reads a solved obligation list through [`dml_elab::eliminate`]: the
+    /// residual sites are exactly the sites the compiler keeps checked.
+    /// Each is described by its last unproven guard, or as blocked when a
+    /// type obligation failed.
+    pub fn from_results(results: &[(Obligation, Verdict)]) -> MiniCheck {
+        let e = dml_elab::eliminate(results);
+        let non_check_ok = e.blocking.is_empty();
+        let failing_funs = e.blocking.iter().map(|&g| results[g - 1].0.in_fun.clone()).collect();
+        let mut residual_detail = BTreeMap::new();
+        for site in e.sites.iter().filter(|s| !s.proven) {
+            let detail = if non_check_ok {
+                let (ob, verdict) = site
+                    .goals
+                    .iter()
+                    .rev()
+                    .map(|&g| &results[g - 1])
+                    .find(|(_, v)| !v.is_proven())
+                    .expect("a site kept checked without a blocker has an unproven guard");
+                format!("{}: {}", ob.kind, verdict_desc(verdict))
+            } else {
+                "blocked: a non-check obligation failed".to_string()
+            };
+            residual_detail.insert(site.site, detail);
         }
+        let residual_sites = residual_detail.keys().copied().collect();
+        MiniCheck { non_check_ok, residual_sites, residual_detail, failing_funs }
     }
-    let (residual_sites, residual_detail) = if non_check_ok {
-        let sites: BTreeSet<Span> =
-            site_ok.iter().filter(|(_, (ok, _))| !ok).map(|(s, _)| *s).collect();
-        let detail =
-            site_ok.into_iter().filter(|(_, (ok, _))| !ok).map(|(s, (_, d))| (s, d)).collect();
-        (sites, detail)
-    } else {
-        let detail = all_check_sites
-            .iter()
-            .map(|s| (*s, "blocked: a non-check obligation failed".to_string()))
-            .collect();
-        (all_check_sites, detail)
-    };
-    Ok(MiniCheck { non_check_ok, residual_sites, residual_detail, failing_funs })
 }
 
 fn verdict_desc(v: &Verdict) -> String {
@@ -163,59 +165,6 @@ pub fn for_each_fundecl_mut(program: &mut sast::Program, f: &mut impl FnMut(&mut
         }
     }
     program.decls.iter_mut().for_each(|d| walk_decl(d, f));
-}
-
-/// Immutable variant of [`for_each_fundecl_mut`].
-pub fn for_each_fundecl(program: &sast::Program, f: &mut impl FnMut(&sast::FunDecl)) {
-    fn walk_expr(e: &sast::Expr, f: &mut impl FnMut(&sast::FunDecl)) {
-        use sast::Expr::*;
-        match e {
-            Var(_) | Int(..) | Bool(..) | Raise(..) => {}
-            App(a, b, _) => {
-                walk_expr(a, f);
-                walk_expr(b, f);
-            }
-            Tuple(es, _) | Seq(es, _) => es.iter().for_each(|e| walk_expr(e, f)),
-            If(c, t, e2, _) => {
-                walk_expr(c, f);
-                walk_expr(t, f);
-                walk_expr(e2, f);
-            }
-            Case(s, arms, _) => {
-                walk_expr(s, f);
-                arms.iter().for_each(|(_, b)| walk_expr(b, f));
-            }
-            Let(ds, b, _) => {
-                ds.iter().for_each(|d| walk_decl(d, f));
-                walk_expr(b, f);
-            }
-            Fn(arms, _) => arms.iter().for_each(|(_, b)| walk_expr(b, f)),
-            Anno(e2, _, _) => walk_expr(e2, f),
-            Andalso(a, b, _) | Orelse(a, b, _) => {
-                walk_expr(a, f);
-                walk_expr(b, f);
-            }
-            Handle(b, arms, _) => {
-                walk_expr(b, f);
-                arms.iter().for_each(|(_, h)| walk_expr(h, f));
-            }
-        }
-    }
-    fn walk_decl(d: &sast::Decl, f: &mut impl FnMut(&sast::FunDecl)) {
-        match d {
-            sast::Decl::Fun(group) => {
-                for fd in group {
-                    f(fd);
-                    for c in &fd.clauses {
-                        walk_expr(&c.body, f);
-                    }
-                }
-            }
-            sast::Decl::Val(v) => walk_expr(&v.expr, f),
-            _ => {}
-        }
-    }
-    program.decls.iter().for_each(|d| walk_decl(d, f));
 }
 
 /// Removes every `where`-clause from `src`, returning the stripped

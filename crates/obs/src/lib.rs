@@ -5,14 +5,12 @@
 //! solver, residual lowering — can emit them without pulling the index
 //! language into scope.
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! - [`TraceEvent`] / [`GoalTrace`]: typed per-goal event buffers. The
 //!   solver fills one when it explains a goal: after the compile, with no
 //!   cache, for the goals `dmlc explain` or `--trace-out` prints, so a
 //!   story depends on the goal alone.
-//! - [`TimingHistogram`]: fixed-bucket log-scale latency histograms used by
-//!   `SolverStats` for per-phase timing.
 //! - [`ChromeTrace`]: a writer for the Chrome trace-event format
 //!   (loadable in `chrome://tracing` / Perfetto), used by
 //!   `dmlc check --trace-out`.
@@ -28,12 +26,10 @@
 
 pub mod chrome;
 pub mod event;
-pub mod hist;
 pub mod json;
 
 pub use chrome::ChromeTrace;
 pub use event::{GoalTrace, TraceEvent};
-pub use hist::TimingHistogram;
 pub use json::Json;
 
 /// Version of the `--trace-out` JSON contract documented in

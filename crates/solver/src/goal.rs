@@ -224,7 +224,6 @@ impl Solver {
 
     /// Proves a constraint, returning per-goal results and statistics.
     pub fn prove(&self, c: &Constraint, gen: &mut VarGen) -> Outcome {
-        let start = Instant::now();
         let mut stats = SolverStats::default();
         let goals = extract_goals(c, &mut stats);
         let mut results = Vec::with_capacity(goals.len());
@@ -243,7 +242,6 @@ impl Solver {
             }
             results.push((goal, r));
         }
-        stats.solve_time = start.elapsed();
         Outcome { results, stats }
     }
 
@@ -297,7 +295,7 @@ impl Solver {
     pub fn decide(&self, goal: &Goal, gen: &mut VarGen, stats: &mut SolverStats) -> Verdict {
         let start = Instant::now();
         let v = self.decide_goal(goal, gen, stats);
-        stats.phase_times.goal.record(start.elapsed());
+        stats.phase_times.goal += start.elapsed();
         v
     }
 
@@ -415,7 +413,7 @@ impl Solver {
         match lowering.lower_prop(&neg_concl) {
             Ok(p) => lowered = lowered.and(p),
             Err(nl) => {
-                stats.phase_times.lowering.record(t_lower.elapsed());
+                stats.phase_times.lowering += t_lower.elapsed();
                 // No elimination happened; still snapshot the (zero) fuel
                 // charge so every trace carries a fuel line.
                 if let Some(t) = tr.as_deref_mut() {
@@ -435,7 +433,7 @@ impl Solver {
                 t.push(TraceEvent::Lowered { fresh_vars: lowered_vars });
             }
         }
-        stats.phase_times.lowering.record(t_lower.elapsed());
+        stats.phase_times.lowering += t_lower.elapsed();
         let t_dnf = Instant::now();
         // Already in NNF without `<>`: the hypotheses and the negated
         // conclusion were normalised before lowering, which keeps their
@@ -444,7 +442,7 @@ impl Solver {
         let dnf = match Dnf::expand(&formula, MAX_DISJUNCTS) {
             Ok(d) => d,
             Err(e) => {
-                stats.phase_times.dnf.record(t_dnf.elapsed());
+                stats.phase_times.dnf += t_dnf.elapsed();
                 if let Some(t) = tr.as_deref_mut() {
                     t.push(TraceEvent::Fuel { spent: 0, remaining: self.opts.fuel });
                 }
@@ -504,7 +502,7 @@ impl Solver {
                         if exact && sys.vars().len() <= REFUTE_SEARCH_MAX_VARS {
                             let t_wit = Instant::now();
                             let sol = crate::exhaustive::find_solution(&sys, REFUTE_SEARCH_BOUND);
-                            stats.phase_times.witness_search.record(t_wit.elapsed());
+                            stats.phase_times.witness_search += t_wit.elapsed();
                             if let Some(sol) = sol {
                                 if let Some(t) = tr.as_deref_mut() {
                                     let empty = HashMap::new();
@@ -538,8 +536,8 @@ impl Solver {
             }
             Verdict::Proven
         };
-        stats.phase_times.dnf.record(expand_time + build_time);
-        stats.phase_times.elimination.record(t_elim.elapsed().saturating_sub(build_time));
+        stats.phase_times.dnf += expand_time + build_time;
+        stats.phase_times.elimination += t_elim.elapsed().saturating_sub(build_time);
         verdict
     }
 }

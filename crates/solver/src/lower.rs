@@ -48,11 +48,6 @@ impl<'g> Lowering<'g> {
         &self.sides
     }
 
-    /// Consumes the context, returning the side constraints.
-    pub fn into_sides(self) -> Vec<Prop> {
-        self.sides
-    }
-
     /// Number of fresh variables introduced.
     pub fn fresh_count(&self) -> usize {
         self.introduced.len()

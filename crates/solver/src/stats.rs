@@ -1,64 +1,51 @@
 //! Solver statistics, feeding Table 1's "constraints generated / solved"
 //! columns and the ablation benches.
 
-use dml_obs::TimingHistogram;
 use std::fmt;
 use std::time::Duration;
 
-/// Per-phase latency histograms for goal solving, one sample per goal that
-/// reaches the phase. Each histogram also sums its samples
-/// ([`TimingHistogram::total`]), so a phase's share of decide time can be
-/// read off.
+/// Total time per goal-solving phase, summed over every goal that reaches
+/// the phase.
 ///
-/// Recording is always on (a few comparisons and an addition per phase),
-/// but histograms are only *rendered* on request (`dmlc table 1
-/// --timings`), so default output stays byte-identical whether or not
-/// anyone looks.
+/// Recording is always on (one addition per phase), but the totals are
+/// only *rendered* on request (`dmlc table 1 --timings`), so default
+/// output stays byte-identical whether or not anyone looks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Whole-goal decide latency, fast paths and cache hits included.
-    pub goal: TimingHistogram,
+    /// Whole-goal decide time, fast paths and cache hits included.
+    pub goal: Duration,
     /// NNF, `<>` expansion and non-linear lowering of the hypotheses and
     /// the negated conclusion.
-    pub lowering: TimingHistogram,
+    pub lowering: Duration,
     /// DNF expansion, plus building each disjunct system the elimination
     /// loop reaches (systems are built one at a time, on demand).
-    pub dnf: TimingHistogram,
+    pub dnf: Duration,
     /// Fourier–Motzkin elimination across a goal's disjunct systems,
     /// without the time spent building them; includes any witness search,
     /// which is also recorded separately.
-    pub elimination: TimingHistogram,
+    pub elimination: Duration,
     /// Bounded exhaustive counterexample search on refutation candidates.
-    pub witness_search: TimingHistogram,
+    pub witness_search: Duration,
 }
 
 impl PhaseTimes {
-    /// Merges another record's histograms into this one.
+    /// Adds another record's totals into this one.
     pub fn merge(&mut self, other: &PhaseTimes) {
-        self.goal.merge(&other.goal);
-        self.lowering.merge(&other.lowering);
-        self.dnf.merge(&other.dnf);
-        self.elimination.merge(&other.elimination);
-        self.witness_search.merge(&other.witness_search);
+        self.goal += other.goal;
+        self.lowering += other.lowering;
+        self.dnf += other.dnf;
+        self.elimination += other.elimination;
+        self.witness_search += other.witness_search;
     }
 
-    /// `true` if no phase recorded any sample.
-    pub fn is_empty(&self) -> bool {
-        self.goal.is_empty()
-            && self.lowering.is_empty()
-            && self.dnf.is_empty()
-            && self.elimination.is_empty()
-            && self.witness_search.is_empty()
-    }
-
-    /// `(label, histogram)` pairs in rendering order.
-    pub fn phases(&self) -> [(&'static str, &TimingHistogram); 5] {
+    /// `(label, total)` pairs in rendering order.
+    pub fn phases(&self) -> [(&'static str, Duration); 5] {
         [
-            ("goal decide", &self.goal),
-            ("lowering", &self.lowering),
-            ("dnf expansion", &self.dnf),
-            ("fm elimination", &self.elimination),
-            ("witness search", &self.witness_search),
+            ("goal decide", self.goal),
+            ("lowering", self.lowering),
+            ("dnf expansion", self.dnf),
+            ("fm elimination", self.elimination),
+            ("witness search", self.witness_search),
         ]
     }
 }
@@ -94,11 +81,9 @@ pub struct SolverStats {
     pub cache_hits: usize,
     /// Goals that missed the verdict cache and were decided from scratch.
     pub cache_misses: usize,
-    /// Wall-clock time spent solving.
-    pub solve_time: Duration,
-    /// Per-phase latency histograms (see [`PhaseTimes`]). Timing buckets
-    /// vary run to run, so they are surfaced only by explicit request and
-    /// never enter golden comparisons.
+    /// Per-phase time totals (see [`PhaseTimes`]). Timings vary run to
+    /// run, so they are surfaced only by explicit request and never enter
+    /// golden comparisons.
     pub phase_times: PhaseTimes,
 }
 
@@ -116,7 +101,6 @@ impl SolverStats {
         self.lowered_vars += other.lowered_vars;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.solve_time += other.solve_time;
         self.phase_times.merge(&other.phase_times);
     }
 }
@@ -125,14 +109,13 @@ impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} goals ({} proven, {} not proven), {} FM combinations, {} cache hits / {} misses, {:?}",
+            "{} goals ({} proven, {} not proven), {} FM combinations, {} cache hits / {} misses",
             self.goals,
             self.proven,
             self.not_proven,
             self.fm_combinations,
             self.cache_hits,
             self.cache_misses,
-            self.solve_time
         )
     }
 }
