@@ -227,7 +227,7 @@ impl Compiled {
     /// match like `case (s : 'a stack(n) | n >= 2) of PUSH(_, PUSH(_, r))`
     /// produces *no* warning — the refinement proves the other arms dead.
     pub fn match_warnings(&self) -> &[(Span, String)] {
-        &self.elimination.match_warnings
+        self.elimination.match_warnings()
     }
 
     /// `true` if every obligation was proven — the program dependently
@@ -247,13 +247,13 @@ impl Compiled {
     /// `dmlc constraints` prints) and whether the site may compile
     /// unchecked.
     pub fn site_verdicts(&self) -> &[dml_elab::SiteVerdict] {
-        &self.elimination.sites
+        self.elimination.sites()
     }
 
     /// Check-primitive call sites that could *not* be proven (their checks
     /// stay at run time even in eliminated mode).
     pub fn unproven_sites(&self) -> HashSet<Span> {
-        self.elimination.sites.iter().filter(|s| !s.proven).map(|s| s.site).collect()
+        self.elimination.sites().iter().filter(|s| !s.proven).map(|s| s.site).collect()
     }
 
     /// Compilation statistics.
@@ -628,7 +628,7 @@ fn run_pipeline_ast(
 
     // Check elimination (§4), fail-safe included: see `dml_elab::eliminate`.
     let elimination = dml_elab::eliminate(&results);
-    let proven_sites = elimination.sites.iter().filter(|s| s.proven).map(|s| s.site).collect();
+    let proven_sites = elimination.sites().iter().filter(|s| s.proven).map(|s| s.site).collect();
 
     let stats = CompileStats {
         constraints: results.len(),

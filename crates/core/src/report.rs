@@ -97,7 +97,7 @@ pub(crate) fn report_body(compiled: &Compiled, src: &str) -> CheckReport {
     for rc in &residual {
         let _ = writeln!(text, "{rc}");
     }
-    if !compiled.elimination().blocking.is_empty() {
+    if !compiled.elimination().blocking().is_empty() {
         text.push_str("NOT fully verified; unproven obligations:\n\n");
         text.push_str(&compiled.explain_failures(src));
         CheckReport { text, ok: false }

@@ -58,18 +58,14 @@ pub struct SiteVerdict {
     pub reason: Option<UnknownReason>,
 }
 
-/// The check-elimination decision of one compile.
+/// The check-elimination decision of one compile, built by [`eliminate`].
+/// Its fields stay private: a site's `proven` flag depends on the whole
+/// program's blocking obligations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Elimination {
-    /// Every check site, sorted by source position.
-    pub sites: Vec<SiteVerdict>,
-    /// 1-based indices of the failed type obligations (neither checks nor
-    /// exhaustiveness), in obligation order. Any one of them blocks every
-    /// elimination.
-    pub blocking: Vec<usize>,
-    /// Exhaustiveness obligations that did not prove, in obligation order:
-    /// the `case` span and the constructor not provably impossible there.
-    pub match_warnings: Vec<(Span, String)>,
+    sites: Vec<SiteVerdict>,
+    blocking: Vec<usize>,
+    match_warnings: Vec<(Span, String)>,
 }
 
 /// Folds a compile's solved obligations, in obligation order, into its
@@ -117,6 +113,24 @@ pub fn eliminate(results: &[(Obligation, Verdict)]) -> Elimination {
 }
 
 impl Elimination {
+    /// Every check site, sorted by source position.
+    pub fn sites(&self) -> &[SiteVerdict] {
+        &self.sites
+    }
+
+    /// 1-based indices of the failed type obligations (neither checks nor
+    /// exhaustiveness), in obligation order. Any one of them blocks every
+    /// elimination.
+    pub fn blocking(&self) -> &[usize] {
+        &self.blocking
+    }
+
+    /// Exhaustiveness obligations that did not prove, in obligation order:
+    /// the `case` span and the constructor not provably impossible there.
+    pub fn match_warnings(&self) -> &[(Span, String)] {
+        &self.match_warnings
+    }
+
     /// `true` when every obligation but the exhaustiveness warnings proved:
     /// the program dependently type-checks and every check site runs
     /// unchecked.

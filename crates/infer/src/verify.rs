@@ -70,10 +70,10 @@ impl MiniCheck {
     /// type obligation failed.
     pub fn from_results(results: &[(Obligation, Verdict)]) -> MiniCheck {
         let e = dml_elab::eliminate(results);
-        let non_check_ok = e.blocking.is_empty();
-        let failing_funs = e.blocking.iter().map(|&g| results[g - 1].0.in_fun.clone()).collect();
+        let non_check_ok = e.blocking().is_empty();
+        let failing_funs = e.blocking().iter().map(|&g| results[g - 1].0.in_fun.clone()).collect();
         let mut residual_detail = BTreeMap::new();
-        for site in e.sites.iter().filter(|s| !s.proven) {
+        for site in e.sites().iter().filter(|s| !s.proven) {
             let detail = if non_check_ok {
                 let (ob, verdict) = site
                     .goals

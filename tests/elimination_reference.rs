@@ -270,16 +270,16 @@ fn the_fold_agrees_with_the_reference_folds() {
         let (ref_proven, ref_fully) = ref_pipeline(&results);
         let ctx = || format!("case {case}: {results:#?}");
 
-        let proven: HashSet<Span> = e.sites.iter().filter(|s| s.proven).map(|s| s.site).collect();
+        let proven: HashSet<Span> = e.sites().iter().filter(|s| s.proven).map(|s| s.site).collect();
         assert_eq!(proven, ref_proven, "proven sites, {}", ctx());
         assert_eq!(e.fully_verified(), ref_fully, "fully verified, {}", ctx());
         let unproven: HashSet<Span> =
-            e.sites.iter().filter(|s| !s.proven).map(|s| s.site).collect();
+            e.sites().iter().filter(|s| !s.proven).map(|s| s.site).collect();
         assert_eq!(unproven, ref_unproven_sites(&results, &ref_proven), "unproven, {}", ctx());
-        assert_eq!(e.match_warnings, ref_match_warnings(&results), "warnings, {}", ctx());
+        assert_eq!(e.match_warnings(), ref_match_warnings(&results), "warnings, {}", ctx());
         let strict: Vec<_> = e.unproven(&results).iter().map(|&g| results[g - 1].clone()).collect();
         assert_eq!(strict, ref_strict(&results), "strict listing, {}", ctx());
-        assert_eq!(!e.blocking.is_empty(), ref_ill_typed(&results), "ill-typed, {}", ctx());
+        assert_eq!(!e.blocking().is_empty(), ref_ill_typed(&results), "ill-typed, {}", ctx());
         assert_eq!(e.residual_checks(), ref_residual_checks(&results), "residual, {}", ctx());
         assert_eq!(
             dml_elab::residual_checks(&results),
@@ -288,7 +288,7 @@ fn the_fold_agrees_with_the_reference_folds() {
             ctx()
         );
         let records: Vec<SiteRecord> = e
-            .sites
+            .sites()
             .iter()
             .map(|s| (s.site, s.prim.clone(), s.check, s.in_fun.clone(), s.goals.clone(), s.proven))
             .collect();
@@ -296,12 +296,12 @@ fn the_fold_agrees_with_the_reference_folds() {
         assert_eq!(MiniCheck::from_results(&results), ref_mini_check(&results), "{}", ctx());
 
         // What the generator reached.
-        let blocked = !e.blocking.is_empty();
+        let blocked = !e.blocking().is_empty();
         *seen.entry(if blocked { "blocked" } else { "unblocked" }).or_default() += 1;
-        if blocked && e.sites.iter().any(|s| s.reason.is_none()) {
+        if blocked && e.sites().iter().any(|s| s.reason.is_none()) {
             *seen.entry("blocked with a proven site").or_default() += 1;
         }
-        for s in &e.sites {
+        for s in e.sites() {
             let verdicts: HashSet<&Verdict> = s.goals.iter().map(|&g| &results[g - 1].1).collect();
             if verdicts.len() > 1 {
                 *seen.entry("site with mixed verdicts").or_default() += 1;
@@ -321,7 +321,7 @@ fn the_fold_agrees_with_the_reference_folds() {
             };
             *seen.entry(kind).or_default() += 1;
         }
-        if !e.match_warnings.is_empty() {
+        if !e.match_warnings().is_empty() {
             *seen.entry("match warning").or_default() += 1;
         }
     }
