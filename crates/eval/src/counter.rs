@@ -46,11 +46,6 @@ impl Counters {
     pub fn residual(&self) -> u64 {
         self.array_checks_residual + self.tag_checks_residual
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        *self = Counters::default();
-    }
 }
 
 impl fmt::Display for Counters {
@@ -71,8 +66,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_reset() {
-        let mut c = Counters {
+    fn totals() {
+        let c = Counters {
             array_checks_executed: 3,
             array_checks_eliminated: 5,
             array_checks_residual: 2,
@@ -83,7 +78,5 @@ mod tests {
         assert_eq!(c.executed(), 4);
         assert_eq!(c.eliminated(), 7);
         assert_eq!(c.residual(), 3);
-        c.reset();
-        assert_eq!(c, Counters::new());
     }
 }
