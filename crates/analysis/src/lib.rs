@@ -29,6 +29,8 @@
 //! lint reports it as a machine-applicable fix ([`Fix`], rendered as a
 //! SARIF `fixes` object) on the unannotated function.
 
+#![forbid(unsafe_code)]
+
 pub mod lints;
 pub mod render;
 pub mod walk;

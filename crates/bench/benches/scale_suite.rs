@@ -85,13 +85,11 @@ fn main() {
     // smoke keeps CI wall time in seconds.
     let sizes: &[usize] = if args.smoke { &[150, 400, 800] } else { &[1_000, 3_000, 10_000] };
     let rounds = args.rounds(1, 7);
-    let auto_jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let auto_jobs = dml_solver::available_parallelism();
 
-    let pool_helpers = dml_solver::pool::prewarm();
     let rss_reset = rss::reset_peak();
     println!(
-        "scale_suite: sizes {sizes:?}, jobs auto={auto_jobs}, pool helpers {pool_helpers}, \
-         rss reset {}",
+        "scale_suite: sizes {sizes:?}, jobs auto={auto_jobs}, rss reset {}",
         if rss_reset { "supported" } else { "UNSUPPORTED (peaks are monotone)" }
     );
 

@@ -21,11 +21,9 @@
 //! cacheable goal is answered from the verdict cache (generation runs in
 //! full either way, so only the cold generation time is reported). Every
 //! round compiles the whole suite, so each program's times and the suite
-//! totals come from the same rounds. The solver's persistent worker pool
-//! is prewarmed up front — its one-time thread spawn is process state, not
-//! per-compile cost. The lint section runs the lint pass twice on the
-//! compile's own solver and reports the second pass's hit rate (its
-//! entailment queries repeat exactly).
+//! totals come from the same rounds. The lint section runs the lint pass
+//! twice on the compile's own solver and reports the second pass's hit
+//! rate (its entailment queries repeat exactly).
 //!
 //! The daemon section compares a fresh `dmlc check` process per compile
 //! against one warm `dmlc serve` daemon answering the same checks over
@@ -44,9 +42,6 @@ fn main() {
     let args = Args::from_env();
     let (warmup, n) = args.rounds(1, 5);
 
-    // The worker pool is process state: spawn it once up front so no
-    // single measurement eats the one-time thread-spawn cost.
-    let pool_helpers = dml_solver::pool::prewarm();
     let sources: Vec<(&str, String)> =
         benchmarks().iter().map(|b| (b.program.name, bench_source(&b.program))).collect();
     let k = sources.len();
@@ -137,11 +132,11 @@ fn main() {
     // Parallel solving must be a net win over sequential on the very suite
     // the paper reports, in more than half of the rounds: one comparison of
     // medians flips under host load. On a machine with no parallelism to
-    // exploit (`pool_helpers == 0`, i.e. one core), `workers=auto` resolves
+    // exploit (`available_parallelism == 1`), `workers=auto` resolves
     // to the sequential path, so a *strict* win is physically meaningless
     // there; a round instead asserts the parallel plumbing costs nothing
     // (within a 5% noise allowance of sequential).
-    let parallelism_available = pool_helpers > 0;
+    let parallelism_available = dml_solver::available_parallelism() > 1;
     let (parallel_solve, sequential_solve) = (ablation[2].median, ablation[0].median);
     let round_wins = pairs
         .iter()
@@ -261,7 +256,7 @@ fn find_dmlc() -> Option<std::path::PathBuf> {
 /// Cold process-per-check vs warm-daemon wall times over the paper suite.
 /// "Cold" spawns a fresh `dmlc check` per compile; "warm" drives one
 /// `dmlc serve` daemon over stdio, after a priming round, so requests land
-/// on a hot goal cache, worker pool, and per-file state: each re-check of
+/// on a hot goal cache and per-file state: each re-check of
 /// an unchanged file replays its last report. Both sides include full
 /// request round-trip time. A round reports every file, then the total.
 fn bench_daemon(

@@ -6,6 +6,8 @@
 //!
 //! The harness is self-contained (no external benchmarking crates).
 
+#![forbid(unsafe_code)]
+
 pub mod rss;
 
 use dml_obs::json::{obj, Json};
@@ -146,8 +148,8 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> Duration {
 
 /// Writes `BENCH_<file>.json` at the repository root when `--json` was
 /// given: the host facts once (`suite`, `smoke`, `available_parallelism`,
-/// `pool_helpers`, `seed`, which is null for a bench without one), then
-/// the bench's own fields.
+/// `seed`, which is null for a bench without one), then the bench's own
+/// fields.
 pub fn write_report<'a>(
     args: &Args,
     file: &str,
@@ -158,12 +160,10 @@ pub fn write_report<'a>(
     if !args.json {
         return;
     }
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut fields = vec![
         ("suite", Json::Str(suite.to_string())),
         ("smoke", Json::Bool(args.smoke)),
-        ("available_parallelism", Json::Int(parallelism as i64)),
-        ("pool_helpers", Json::Int(dml_solver::pool::prewarm() as i64)),
+        ("available_parallelism", Json::Int(dml_solver::available_parallelism() as i64)),
         // A non-finite number renders as JSON null.
         ("seed", seed.map_or(Json::Num(f64::NAN), |s| Json::Int(s as i64))),
     ];

@@ -53,6 +53,8 @@
 //!   byte-identical (both paths render through the same report code);
 //!   only the wall time changes.
 
+#![forbid(unsafe_code)]
+
 use dml::experiments;
 use dml::serve::protocol::Json;
 use dml::{Compiler, Mode, Severity, Value};
@@ -208,7 +210,7 @@ fn check_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
             },
             "--jobs" => match rest.next().map(String::as_str) {
                 Some("auto") => {
-                    jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+                    jobs = dml::available_parallelism();
                 }
                 Some(v) => match v.parse::<usize>() {
                     Ok(n) if n >= 1 => jobs = n,
@@ -573,7 +575,7 @@ fn fuzz(args: &[String]) -> ExitCode {
 
 /// `dmlc serve [--socket PATH]` — runs the persistent check service over
 /// stdio (the default) or a Unix socket, holding one warm compiler session
-/// — goal cache, worker pool, per-file state that replays
+/// — goal cache and per-file state that replays
 /// byte-identical re-checks — across every request.
 /// Protocol: `docs/PROTOCOL.md`.
 fn serve_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {

@@ -3,10 +3,12 @@
 //! `dmlc check --jobs N <files...>` is a *check farm*: every file in the
 //! batch compiles against the same session solver, so canonically-equal
 //! goals dedupe across files exactly as they do across requests of a
-//! long-lived `dmlc serve` daemon. The fan-out is a work-stealing loop
-//! over `N` worker threads, each holding a clone of the session handle
-//! (cloning *after* the session solver exists shares its verdict cache
-//! and worker pool — see [`Compiler`]).
+//! long-lived `dmlc serve` daemon. The fan-out is the solver's own
+//! work-stealing loop ([`fan_out`]) over `N` scoped threads, all compiling
+//! through one clone of the session handle (cloning *after* the session
+//! solver exists shares its verdict cache — see [`Compiler`]). While
+//! files fan out, each one solves on its own thread: only one level of
+//! parallelism runs at a time.
 //!
 //! Reporting is deterministic: results come back in input order, each
 //! file renders through the same [`check_report`] the single-file path
@@ -17,8 +19,7 @@
 
 use crate::pipeline::Compiler;
 use crate::report::{check_report, CheckReport};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use dml_solver::fan_out;
 
 /// One input of a batch: a display name (the path) and its source.
 #[derive(Debug, Clone)]
@@ -128,25 +129,20 @@ impl BatchOutcome {
 /// Checks every entry against `compiler`'s session, fanning across
 /// `jobs` worker threads (1 = sequential; the result is identical either
 /// way, only wall time changes). The session solver is initialized
-/// before any worker spawns, so all clones share one goal cache.
+/// before any worker spawns, so all of them share one goal cache.
 pub fn check_batch(compiler: &Compiler, entries: &[BatchEntry], jobs: usize) -> BatchOutcome {
-    // Force the session solver into existence so every clone below
-    // shares it (cloning a virgin handle would fork the session).
+    // Force the session solver into existence so the clone below shares
+    // it (cloning a virgin handle would fork the session).
     let cache = compiler.solver().cache();
     let snapshot = (cache.hits(), cache.misses());
 
+    // Files fanning out solve sequentially each: nesting the solver's
+    // own fan-out under N jobs would start N × workers threads.
     let jobs = jobs.clamp(1, entries.len().max(1));
-    let slots: Vec<Mutex<Option<BatchFileResult>>> =
-        entries.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    let work = |compiler: Compiler| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= entries.len() {
-            break;
-        }
+    let compiler = if jobs > 1 { compiler.clone().workers(1) } else { compiler.clone() };
+    let results = fan_out(jobs, entries.len(), |i| {
         let entry = &entries[i];
-        let result = match compiler.compile(&entry.source) {
+        match compiler.compile(&entry.source) {
             Ok(compiled) => {
                 let stats = compiled.stats();
                 BatchFileResult {
@@ -164,25 +160,9 @@ pub fn check_batch(compiler: &Compiler, entries: &[BatchEntry], jobs: usize) -> 
                 constraints: 0,
                 goals: 0,
             },
-        };
-        *slots[i].lock().expect("batch slot poisoned") = Some(result);
-    };
+        }
+    });
 
-    if jobs == 1 {
-        work(compiler.clone());
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                let handle = compiler.clone();
-                s.spawn(|| work(handle));
-            }
-        });
-    }
-
-    let results: Vec<BatchFileResult> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("batch slot poisoned").expect("batch slot unfilled"))
-        .collect();
     let mut summary = BatchSummary {
         files: results.len(),
         cache_hits: cache.hits() - snapshot.0,

@@ -39,6 +39,7 @@
 //! the comparison against the published numbers.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod experiments;
@@ -54,7 +55,7 @@ pub use dml_elab::{residual_checks, ObKind, Obligation, ResidualCheck};
 pub use dml_eval::{CheckConfig, Counters, Machine, Mode, Value};
 pub use dml_index::{UnknownReason, Verdict};
 pub use dml_infer::{infer_refinements, strip_annotations, InferOutcome, InferReport};
-pub use dml_solver::{Solver, SolverOptions};
+pub use dml_solver::{available_parallelism, Solver, SolverOptions};
 pub use dml_syntax::Severity;
 pub use pipeline::clear_gen_memo;
 pub use pipeline::{CompileStats, Compiled, Compiler, PipelineError};

@@ -1,8 +1,8 @@
 //! The persistent check service behind `dmlc serve`.
 //!
 //! One [`Session`] wraps one reusable [`crate::Compiler`] handle and
-//! serves many requests, so the canonical goal cache and the solver
-//! worker pool warm up once and stay warm. The service speaks a
+//! serves many requests, so the canonical goal cache warms up once and
+//! stays warm. The service speaks a
 //! versioned, line-delimited JSON protocol ([`protocol`], documented in
 //! `docs/PROTOCOL.md`) over stdio ([`server::serve_stdio`]) or a Unix
 //! socket ([`server::serve_unix`]). Per-file state (the private

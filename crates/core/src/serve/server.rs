@@ -3,7 +3,7 @@
 //!
 //! The daemon is deliberately sequential — one request at a time per
 //! connection, connections accepted one after another. Parallelism lives
-//! *below* this layer, in the solver's worker pool; serialising requests
+//! *below* this layer, in the solver's fan-out; serialising requests
 //! keeps verdict output deterministic and the session state free of locks.
 
 use super::protocol::{self, ErrorCode, Request};

@@ -1,7 +1,7 @@
 //! The long-lived check session behind `dmlc serve`.
 //!
 //! A [`Session`] owns one reusable [`Compiler`] handle — one canonical
-//! goal cache, one worker pool — plus per-file
+//! goal cache — plus per-file
 //! state and per-request statistics. A file's state is its last
 //! successful check: the source text and rendered report body, replayed
 //! when the same path is re-checked byte for byte, and its verdicts by
@@ -54,11 +54,8 @@ pub struct Session {
 
 impl Session {
     /// Wraps a configured compiler handle. The handle's solver session
-    /// (and its caches) live as long as the `Session`. The solver worker
-    /// pool is prewarmed eagerly so the first request doesn't pay the
-    /// thread-spawn cost.
+    /// (and its caches) live as long as the `Session`.
     pub fn new(compiler: Compiler) -> Session {
-        dml_solver::pool::prewarm();
         Session {
             compiler,
             files: HashMap::new(),

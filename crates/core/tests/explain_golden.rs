@@ -1,34 +1,19 @@
 //! Golden determinism tests for `dmlc explain` rendering: the proof-trace
-//! output must be byte-identical across worker counts, cache
-//! configurations, and worker-pool states (the observability determinism
-//! contract — see `docs/ARCHITECTURE.md`).
+//! output must be byte-identical across worker counts and cache
+//! configurations (the observability determinism contract — see
+//! `docs/ARCHITECTURE.md`).
 //!
-//! The matrix is {workers = 1, 4, auto} × {cache on, off} × {pool cold,
-//! pool warm}: the first parallel compile of the process spawns the
-//! persistent worker pool's helper threads, the second pass re-runs every
-//! configuration against the already-parked helpers. Every configuration
-//! recompiles the same source from scratch, so the sweep also pins
-//! generation as deterministic: each elaboration must render the same
-//! explain output byte for byte.
+//! The matrix is {workers = 1, 4, auto} × {cache on, off}; `workers = 4`
+//! runs three scoped helper threads beside the caller on any host. Every
+//! configuration recompiles the same source from scratch, so the sweep
+//! also pins generation as deterministic: each elaboration must render the
+//! same explain output byte for byte.
 //!
 //! Every example and every paper program also has its full rendering
 //! pinned by an FNV-1a digest, and each `--goal N` rendering must be goal
 //! N's block of the full one.
 
 use dml::{render_explain, Compiler, Solver, SolverOptions};
-use std::sync::Once;
-
-/// A single-core machine gets a pool with zero helpers (the submitting
-/// thread works every batch alone), so force helpers into existence before
-/// anything touches the pool's one-time initializer. Every test in this
-/// binary calls this first.
-static FORCE_HELPERS: Once = Once::new();
-
-fn force_helpers() {
-    FORCE_HELPERS.call_once(|| {
-        std::env::set_var("DML_SOLVER_HELPERS", "3");
-    });
-}
 
 fn explain(src: &str, workers: Option<usize>, cache: bool) -> String {
     let mut compiler = Compiler::new().cache(cache);
@@ -40,23 +25,17 @@ fn explain(src: &str, workers: Option<usize>, cache: bool) -> String {
 }
 
 fn assert_config_independent(name: &str, src: &str) -> String {
-    force_helpers();
     let base = explain(src, Some(1), true);
     assert!(base.contains("proof trace:"), "{name}: {base}");
-    // `None` is `workers=auto`. Two passes: the first covers the pool-cold
-    // spawn (on the process's first parallel compile), the second the warm
-    // pool with helpers parked on the condvar.
-    for pass in ["pool cold", "pool warm"] {
-        for (workers, label) in [(Some(1), "1"), (Some(4), "4"), (None, "auto")] {
-            for cache in [true, false] {
-                let other = explain(src, workers, cache);
-                assert_eq!(
-                    base, other,
-                    "{name}: explain output differs for workers={label} cache={cache} ({pass})"
-                );
-            }
+    // `None` is `workers=auto`.
+    for (workers, label) in [(Some(1), "1"), (Some(4), "4"), (None, "auto")] {
+        for cache in [true, false] {
+            let other = explain(src, workers, cache);
+            assert_eq!(
+                base, other,
+                "{name}: explain output differs for workers={label} cache={cache}"
+            );
         }
-        assert!(dml_solver::pool::is_warm(), "{name}: parallel compiles initialized the pool");
     }
     base
 }
@@ -85,7 +64,6 @@ fn residual_example_explain_is_byte_identical_across_configs() {
 /// the full elimination story.
 #[test]
 fn warm_cache_explain_matches_cold() {
-    force_helpers();
     let src = dml_programs::bsearch::SOURCE;
     let solver = Solver::new(SolverOptions::default());
     let cold = Compiler::new().with_solver(&solver).compile(src).unwrap();
@@ -127,7 +105,6 @@ fn goal_blocks(full: &str) -> Vec<String> {
 /// Pins one source's rendering by goal count and digest, and checks that
 /// each `--goal N` rendering is goal N's block of the full one.
 fn check_pinned(name: &str, src: &str, goals: usize, digest: u64) {
-    force_helpers();
     let (full, one) = renderings(name, src);
     assert_eq!(
         (one.len(), fnv(&full)),

@@ -676,30 +676,7 @@ impl<'e> Elaborator<'e> {
             ty = *cod;
         }
         if let Some(scrut_ty) = scrut {
-            if let Ty::App(dt_name, _, _) = self.resolve_shallow(&scrut_ty) {
-                if let Some(info) = self.env.datatypes.get(&dt_name).cloned() {
-                    for con in &info.cons {
-                        if covered.contains(con) {
-                            continue;
-                        }
-                        let inner = self.scope_begin();
-                        let id = sast::Ident::synth(con);
-                        let arg = if self.env.cons[con].arg.is_some() {
-                            Some(sast::Pat::Wild(f.name.span))
-                        } else {
-                            None
-                        };
-                        let mut scratch = Vals::new();
-                        self.bind_con_pattern(&id, arg.as_ref(), &scrut_ty, &mut scratch)?;
-                        self.emit(
-                            ObKind::Unreachable { con: con.clone() },
-                            f.name.span,
-                            Prop::False,
-                        );
-                        self.scope_end(inner);
-                    }
-                }
-            }
+            self.emit_unreachable(&scrut_ty, &covered, f.name.span)?;
         }
         self.scope_end(mark);
         Ok(())
@@ -900,12 +877,6 @@ impl<'e> Elaborator<'e> {
         arms: &[(sast::Pat, sast::Expr)],
         span: Span,
     ) -> Result<(), ElabError> {
-        let Ty::App(dt_name, _, _) = self.resolve_shallow(scrut_ty) else {
-            return Ok(());
-        };
-        let Some(info) = self.env.datatypes.get(&dt_name).cloned() else {
-            return Ok(());
-        };
         let mut covered: std::collections::HashSet<String> = std::collections::HashSet::new();
         for (p, _) in arms {
             match p {
@@ -921,14 +892,29 @@ impl<'e> Elaborator<'e> {
                 _ => return Ok(()),
             }
         }
-        for con in &info.cons {
-            if covered.contains(con) {
-                continue;
-            }
+        self.emit_unreachable(scrut_ty, &covered, span)
+    }
+
+    /// Emits, at `span`, one [`ObKind::Unreachable`] obligation for every
+    /// constructor of the scrutinee's datatype missing from `covered`, in
+    /// declaration order. Nothing is emitted when the scrutinee is not a
+    /// datatype.
+    fn emit_unreachable(
+        &mut self,
+        scrut_ty: &Ty,
+        covered: &std::collections::HashSet<String>,
+        span: Span,
+    ) -> Result<(), ElabError> {
+        let Ty::App(dt_name, _, _) = self.resolve_shallow(scrut_ty) else {
+            return Ok(());
+        };
+        let Some(info) = self.env.datatypes.get(&dt_name).cloned() else {
+            return Ok(());
+        };
+        for con in info.cons.iter().filter(|con| !covered.contains(*con)) {
             let mark = self.scope_begin();
             let id = sast::Ident::synth(con);
-            let arg =
-                if self.env.cons[con].arg.is_some() { Some(sast::Pat::Wild(span)) } else { None };
+            let arg = self.env.cons[con].arg.is_some().then_some(sast::Pat::Wild(span));
             // Assume the scrutinee *is* this constructor; its index
             // equations become hypotheses under which `false` must hold.
             let mut scratch = Vals::new();

@@ -31,6 +31,8 @@
 //! * **Singleton booleans** refine `if`: a condition of type `bool(p)`
 //!   adds `p` (resp. `¬p`) to the hypotheses of the branches.
 
+#![forbid(unsafe_code)]
+
 pub mod elab;
 pub mod elimination;
 pub mod obligation;

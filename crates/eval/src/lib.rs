@@ -22,6 +22,8 @@
 //!   property tests use to show that elimination never fires on an access
 //!   that could fault.
 
+#![forbid(unsafe_code)]
+
 pub mod counter;
 pub mod error;
 pub mod interp;

@@ -28,6 +28,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod constraint;
 pub mod iexp;
@@ -42,5 +43,5 @@ pub use iexp::IExp;
 pub use linear::{Linear, NonLinear};
 pub use prop::{Cmp, Prop};
 pub use sort::Sort;
-pub use var::{Var, VarGen, VarLease};
+pub use var::{Var, VarGen};
 pub use verdict::{UnknownReason, Verdict};

@@ -6,7 +6,6 @@
 //! as long as binders always use fresh ids (which [`VarGen`] guarantees).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// An index variable: a unique id plus a display name.
@@ -66,8 +65,8 @@ impl fmt::Display for Var {
 /// A supply of fresh [`Var`]s.
 ///
 /// A supply owns a half-open id range `next..limit` (the default supply
-/// owns everything up to `u32::MAX`). [`VarLease`] carves disjoint
-/// sub-ranges out of a supply so parallel solver workers can generate
+/// owns everything up to `u32::MAX`). [`VarGen::carve`] splits disjoint
+/// sub-ranges off a supply so parallel solver workers can generate
 /// fresh variables without any synchronisation and still never collide
 /// with each other or with the parent supply.
 #[derive(Debug, Clone)]
@@ -90,7 +89,7 @@ impl VarGen {
 
     /// Creates a supply that starts at `start` (and owns ids up to
     /// `u32::MAX`). Used to hand out disjoint ranges explicitly; prefer
-    /// [`VarLease`] when carving from an existing supply.
+    /// [`VarGen::carve`] when splitting an existing supply.
     pub fn starting_at(start: u32) -> Self {
         VarGen { next: start, limit: u32::MAX }
     }
@@ -130,54 +129,25 @@ impl VarGen {
             self.next = id + 1;
         }
     }
-}
 
-/// An atomically-leased region of fresh variable ids.
-///
-/// Partitioning ids by worker *at spawn time* is unsound under
-/// work-stealing: a thread that steals goals beyond its original share
-/// would have to mint ids from a range it does not own. A `VarLease`
-/// instead carves one region out of a parent supply and hands out
-/// disjoint chunks on demand through an atomic cursor — any number of
-/// threads can lease any number of chunks, in any schedule, and no id is
-/// ever produced twice. The parent supply advances past the whole region
-/// at carve time, so its later ids cannot collide with leased ones either.
-#[derive(Debug)]
-pub struct VarLease {
-    next: AtomicU32,
-    limit: u32,
-}
-
-impl VarLease {
-    /// Carves a `size`-id region out of `parent` (which advances past it).
+    /// Carves `count` consecutive supplies of `stride` ids each out of
+    /// this one, which advances past all of them. Supply `i` owns ids
+    /// `start + i·stride .. start + (i+1)·stride`, so the ids a unit of
+    /// work mints depend on its index alone, never on which thread runs
+    /// it or when.
     ///
-    /// Panics if the parent's remaining id space is smaller than `size`.
-    pub fn carve(parent: &mut VarGen, size: u32) -> VarLease {
-        let start = parent.next;
-        let end = start
-            .checked_add(size)
-            .filter(|e| *e <= parent.limit)
-            .expect("VarGen id space exhausted by lease carve");
-        parent.next = end;
-        VarLease { next: AtomicU32::new(start), limit: end }
-    }
-
-    /// Atomically leases the next `n`-id chunk as a fresh supply.
-    ///
-    /// Panics if the region is exhausted; size the carve for the worst
-    /// case (callers lease one chunk per work unit, so `chunks × n` bounds
-    /// the region).
-    pub fn lease(&self, n: u32) -> VarGen {
-        let start = self.next.fetch_add(n, Ordering::Relaxed);
-        let end = start.checked_add(n).filter(|e| *e <= self.limit).unwrap_or_else(|| {
-            panic!("VarLease region exhausted (lease of {n} past {})", self.limit)
-        });
-        VarGen { next: start, limit: end }
-    }
-
-    /// Ids not yet leased.
-    pub fn remaining(&self) -> u32 {
-        self.limit.saturating_sub(self.next.load(Ordering::Relaxed))
+    /// Panics if this supply has fewer than `count × stride` ids left.
+    pub fn carve(&mut self, count: u32, stride: u32) -> Vec<VarGen> {
+        let start = self.next;
+        let end = count
+            .checked_mul(stride)
+            .and_then(|size| start.checked_add(size))
+            .filter(|end| *end <= self.limit)
+            .expect("VarGen id space exhausted by carve");
+        self.next = end;
+        (0..count)
+            .map(|i| VarGen { next: start + i * stride, limit: start + (i + 1) * stride })
+            .collect()
     }
 }
 
@@ -229,55 +199,32 @@ mod tests {
     }
 
     #[test]
-    fn lease_chunks_are_disjoint_from_each_other_and_parent() {
+    fn carved_supplies_are_disjoint_and_fixed_by_index() {
         let mut g = VarGen::new();
         g.fresh("before");
-        let lease = VarLease::carve(&mut g, 1 << 10);
+        let carved = g.carve(8, 64);
         let after = g.fresh("after");
+        // Mint from the supplies in reverse order: supply `i` still owns
+        // the `i`-th range, whichever order the work runs in.
         let mut seen = HashSet::new();
-        for _ in 0..8 {
-            let mut sub = lease.lease(64);
-            for _ in 0..64 {
-                assert!(seen.insert(sub.fresh("w").id()), "leased ids collided");
+        for (i, sub) in carved.iter().enumerate().rev() {
+            let mut sub = sub.clone();
+            for k in 0..64 {
+                let id = sub.fresh("w").id();
+                assert_eq!(id, 1 + 64 * i as u32 + k, "supply {i}");
+                assert!(seen.insert(id), "carved ids collided");
             }
         }
-        assert!(!seen.contains(&after.id()), "parent id fell inside the leased region");
-    }
-
-    /// Regression test for work-stealing id soundness: replays a schedule
-    /// where worker B steals goals that a static per-worker partition
-    /// would have assigned to worker A. Under leasing, every goal's ids
-    /// come from a chunk claimed at execution time by whichever thread
-    /// actually runs it, so the interleaved schedule mints no duplicate.
-    #[test]
-    fn lease_is_sound_under_a_stolen_goal_schedule() {
-        let mut g = VarGen::new();
-        let lease = VarLease::carve(&mut g, 1 << 12);
-        // Schedule: A takes goal 0, B steals goals 1 and 2 while A is
-        // still mid-goal, A resumes with goal 3. Chunks interleave in the
-        // same order the steals happen.
-        let mut a0 = lease.lease(16);
-        let mut b1 = lease.lease(16);
-        let ids_a0: Vec<u32> = (0..16).map(|_| a0.fresh("a").id()).collect();
-        let mut b2 = lease.lease(16);
-        let ids_b1: Vec<u32> = (0..16).map(|_| b1.fresh("b").id()).collect();
-        let mut a3 = lease.lease(16);
-        let ids_b2: Vec<u32> = (0..16).map(|_| b2.fresh("b").id()).collect();
-        let ids_a3: Vec<u32> = (0..16).map(|_| a3.fresh("a").id()).collect();
-        let mut all = HashSet::new();
-        for id in ids_a0.iter().chain(&ids_b1).chain(&ids_b2).chain(&ids_a3) {
-            assert!(all.insert(*id), "stolen schedule produced duplicate id {id}");
-        }
-        assert!(!all.contains(&g.fresh("parent").id()));
+        assert!(!seen.contains(&after.id()), "parent id fell inside a carved range");
+        assert_eq!(after.id(), 1 + 8 * 64);
     }
 
     #[test]
     #[should_panic(expected = "exhausted")]
-    fn lease_past_region_panics() {
+    fn carve_past_the_supply_panics() {
         let mut g = VarGen::new();
-        let lease = VarLease::carve(&mut g, 32);
-        let _ = lease.lease(16);
-        let _ = lease.lease(17);
+        let mut sub = g.carve(1, 32).remove(0);
+        let _ = sub.carve(2, 17);
     }
 
     #[test]
@@ -291,8 +238,8 @@ mod tests {
     #[should_panic(expected = "exhausted")]
     fn exhausted_sub_supply_panics() {
         let mut g = VarGen::new();
-        let mut sub = VarLease::carve(&mut g, 16).lease(2);
-        // The lease fits; its third id is past the leased range.
+        let mut sub = g.carve(1, 2).remove(0);
+        // The carve fits; its third id is past the carved range.
         for _ in 0..3 {
             sub.fresh("x");
         }

@@ -25,6 +25,7 @@
 //! callee cannot know — are left untouched and reported honestly.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod absint;
 pub mod interval;

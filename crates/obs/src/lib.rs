@@ -23,6 +23,7 @@
 //! bumped whenever that contract changes.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chrome;
 pub mod event;

@@ -28,6 +28,7 @@
 //! drivers over [`harness`].
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod enumerate;
 pub mod fm;

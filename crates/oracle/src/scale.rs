@@ -3,8 +3,8 @@
 //! The fuzz templates in [`crate::program`] exercise the pipeline on
 //! single-function programs of a handful of obligations — the paper's
 //! Table 2/3 regime. The service roadmap cares about a different regime:
-//! 10k–100k obligations per compile batch, where the worker pool and the
-//! canonical verdict cache either pay off or fall over. This module
+//! 10k–100k obligations per compile batch, where the parallel solve and
+//! the canonical verdict cache either pay off or fall over. This module
 //! generates that workload.
 //!
 //! A corpus is a set of files, each a long sequence of *units* drawn from

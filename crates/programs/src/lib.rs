@@ -16,6 +16,8 @@
 //! producing [`dml_eval::Value`]s, and a reference implementation in Rust
 //! used by the correctness tests.
 
+#![forbid(unsafe_code)]
+
 pub mod bcopy;
 pub mod bsearch;
 pub mod bubblesort;

@@ -80,7 +80,9 @@ pub struct SolverOptions {
     pub tighten: bool,
     /// Number of solve workers for [`crate::parallel::prove_all`]. `None`
     /// uses the machine's available parallelism; `Some(1)` reproduces the
-    /// sequential pipeline exactly (same `VarGen` consumption, same order).
+    /// sequential pipeline exactly (same `VarGen` consumption, same order);
+    /// `Some(n)` runs `n` threads on any host, never more than there are
+    /// obligations.
     pub workers: Option<usize>,
     /// Memoize goal verdicts keyed on canonical form (see [`crate::canon`]).
     /// On by default; the ablation bench turns it off.

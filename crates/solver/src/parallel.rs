@@ -1,15 +1,16 @@
-//! Multi-worker constraint solving over the persistent worker pool.
+//! Multi-worker constraint solving on scoped threads.
 //!
-//! Obligations are independent verification conditions, so they can be
-//! solved concurrently. The design keeps the solve phase *deterministic*:
+//! Obligations are independent verification conditions (§3.2 decides each
+//! constraint on its own), so they can be solved concurrently. The design
+//! keeps the solve phase *deterministic*:
 //!
 //! - results come back in obligation order regardless of worker count or
-//!   scheduling (every obligation owns a result slot);
-//! - fresh-variable generation is lock-free and collision-free under
-//!   work-stealing: each claimed chunk leases a disjoint id range from a
-//!   [`dml_index::VarLease`] at execution time — worker-fresh variables
-//!   are internal to lowering and never escape into reported
-//!   results;
+//!   scheduling ([`fan_out`] merges them by index);
+//! - each chunk mints fresh variables from its own id range, fixed by the
+//!   chunk's index and carved from the caller's supply before any thread
+//!   starts ([`VarGen::carve`]), so no id depends on which thread claims
+//!   which chunk — worker-fresh variables are internal to lowering and
+//!   never escape into reported results;
 //! - with `workers <= 1` the parent `gen` is threaded through directly,
 //!   reproducing the sequential pipeline's variable consumption exactly.
 //!
@@ -18,26 +19,76 @@
 //! the upper×lower pair combinations FM will perform, so chunk boundaries
 //! land where the work is, a few chunks per worker leave room for
 //! stealing, and the shared cursor is touched once per chunk instead of
-//! once per goal. Threads come from the lazily-spawned persistent pool
-//! ([`crate::pool`]) — a batch costs a condvar notify, not N
-//! `thread::spawn`s.
+//! once per goal. Threads come from `std::thread::scope` on every call;
+//! a spawn and join costs tens of microseconds (EXPERIMENTS.md, "Scoped
+//! threads in place of the solver pool").
 
 use crate::goal::{Outcome, Solver};
-use crate::pool;
-use dml_index::{Constraint, VarGen, VarLease};
+use dml_index::{Constraint, VarGen};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Chunks per worker the batch is split into. >1 so a worker that hits a
 /// slow chunk can have the rest of its share stolen; small enough that
 /// chunk claiming stays off the profile.
 const CHUNKS_PER_WORKER: usize = 4;
 
+/// Fresh ids carved per chunk. A goal lowers at most a handful of fresh
+/// variables (`div`/`mod`/`min`/`max` operands), so 2¹⁶ ids per chunk is
+/// far beyond any realistic chunk while letting a single compile run tens
+/// of thousands of chunks before exhausting the 32-bit id space.
+const CHUNK_IDS: u32 = 1 << 16;
+
+/// The machine's available parallelism (1 when it cannot be read),
+/// resolved once per process: the standard library asks the operating
+/// system on every call, which costs microseconds each time.
+pub fn available_parallelism() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Resolves an optional worker-count request against the batch size.
 ///
 /// `None` means "use available parallelism". The result is clamped to
 /// `1..=n` (never more workers than obligations, never zero).
 pub fn effective_workers(requested: Option<usize>, n: usize) -> usize {
-    let avail = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    requested.unwrap_or(avail).clamp(1, n.max(1))
+    requested.unwrap_or_else(available_parallelism).clamp(1, n.max(1))
+}
+
+/// Runs `job(0)`, …, `job(n - 1)` on up to `workers` threads — the
+/// caller's own plus `workers - 1` scoped helpers — and returns the
+/// results in index order. Threads claim indices from a shared cursor, so
+/// a slow job holds up only the thread running it. A panic in any job
+/// reaches the caller once every thread has stopped. With one worker (or
+/// fewer than two jobs) everything runs on the calling thread, in order.
+pub fn fan_out<T: Send>(workers: usize, n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = workers.clamp(1, n.max(1));
+    if workers == 1 {
+        return (0..n).map(job).collect();
+    }
+    // The cursor publishes nothing but the index it hands out; results
+    // travel back through `join`, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, job(i)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(claim)).collect();
+        let mut done = claim();
+        for helper in helpers {
+            done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Estimated Fourier–Motzkin cost of one obligation, in arbitrary units.
@@ -87,10 +138,14 @@ pub fn prove_all(solver: &Solver, constraints: &[&Constraint], gen: &mut VarGen)
         return constraints.iter().map(|c| solver.prove(c, gen)).collect();
     }
     let chunks = cost_chunks(constraints, workers);
-    let lease = VarLease::carve(gen, chunks.len() as u32 * pool::LEASE_STRIDE);
-    let mut slots: Vec<Option<Outcome>> = vec![None; constraints.len()];
-    pool::run_batch(solver, constraints, &mut slots, chunks, lease, workers);
-    slots.into_iter().map(|s| s.expect("every obligation solved exactly once")).collect()
+    let count = u32::try_from(chunks.len()).expect("chunk count fits the id space");
+    let gens = gen.carve(count, CHUNK_IDS);
+    let solve_chunk = |ci: usize| -> Vec<Outcome> {
+        let (start, end) = chunks[ci];
+        let mut gen = gens[ci].clone();
+        constraints[start..end].iter().map(|c| solver.prove(c, &mut gen)).collect()
+    };
+    fan_out(workers, chunks.len(), solve_chunk).into_iter().flatten().collect()
 }
 
 #[cfg(test)]

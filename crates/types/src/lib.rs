@@ -22,6 +22,8 @@
 //! * [`env`](mod@env) — program environments: datatypes, typerefs, value
 //!   signatures.
 
+#![forbid(unsafe_code)]
+
 pub mod builtins;
 pub mod convert;
 pub mod env;

@@ -9,6 +9,8 @@
 //! * `examples/` — runnable binaries demonstrating the public API;
 //! * `tests/` — integration and property tests spanning all crates.
 
+#![forbid(unsafe_code)]
+
 pub mod qc;
 
 pub use dml;

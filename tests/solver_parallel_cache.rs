@@ -1,10 +1,8 @@
 //! Property test: the solve phase is configuration-independent. For
 //! randomized goal sets, every combination of {workers = 1, 4, auto} ×
-//! {cache on, off} × {pool cold, pool warm} must produce identical
-//! `Verdict`s in identical order, with identical proven/not-proven
-//! counts. "Pool cold" is the pass whose first parallel batch spawns the
-//! persistent worker pool's helper threads; "pool warm" re-runs the same
-//! matrix against the already-parked helpers.
+//! {cache on, off} must produce identical `Verdict`s in identical order,
+//! with identical proven/not-proven counts. `workers = 4` runs three
+//! scoped helper threads beside the caller on any host.
 //!
 //! The generator stays inside the solver's total fragment (linear atoms
 //! plus `div`/`mod` by positive literals and `min`/`max`/`abs`), so no
@@ -15,22 +13,7 @@
 
 use dml_index::{Cmp, Constraint, IExp, Prop, Sort, Var, VarGen};
 use dml_repro::qc::Rng;
-use dml_solver::{pool, prove_all, Outcome, Solver, SolverOptions, Verdict};
-use std::sync::Once;
-
-/// The configuration matrix covers the persistent worker pool, but a
-/// single-core machine gets a pool with zero helpers (the submitting
-/// thread works every batch alone). Forcing helpers into existence makes
-/// the parallel configurations run under real thread interleavings
-/// everywhere. Must run before anything touches the pool's one-time
-/// initializer, so every test in this binary calls it first.
-static FORCE_HELPERS: Once = Once::new();
-
-fn force_helpers() {
-    FORCE_HELPERS.call_once(|| {
-        std::env::set_var("DML_SOLVER_HELPERS", "3");
-    });
-}
+use dml_solver::{prove_all, Outcome, Solver, SolverOptions, Verdict};
 
 fn random_iexp(rng: &mut Rng, vars: &[Var], depth: usize) -> IExp {
     if depth == 0 || rng.usize_in(0, 2) == 0 {
@@ -89,7 +72,6 @@ fn counts(outcomes: &[Outcome]) -> Vec<(usize, usize)> {
 
 #[test]
 fn solve_phase_is_configuration_independent() {
-    force_helpers();
     let mut rng = Rng::new(0xCAC4E);
     for round in 0..8 {
         let mut gen = VarGen::new();
@@ -104,8 +86,8 @@ fn solve_phase_is_configuration_independent() {
         let refs: Vec<&Constraint> = constraints.iter().collect();
 
         // `None` is `workers=auto`; on a single-core runner it resolves to
-        // the sequential path, elsewhere to the full pool — either way it
-        // must agree with every pinned worker count.
+        // the sequential path, elsewhere to one thread per core — either
+        // way it must agree with every pinned worker count.
         let configs: [(Option<usize>, bool); 6] = [
             (Some(1), true),
             (Some(1), false),
@@ -115,38 +97,25 @@ fn solve_phase_is_configuration_independent() {
             (None, false),
         ];
         let mut baseline: Option<Observation> = None;
-        // Pass 0 runs against a pool that (on the process's first round)
-        // has yet to spawn its helpers; pass 1 repeats the matrix against
-        // the warm pool, with helpers parked on the condvar.
-        for pass in ["pool cold", "pool warm"] {
-            for (workers, cache) in configs {
-                let opts = SolverOptions::default().with_workers(workers).with_cache(cache);
-                let mut gen = gen.clone();
-                let solver = Solver::new(opts);
-                let outcomes = prove_all(&solver, &refs, &mut gen);
-                assert_eq!(outcomes.len(), refs.len());
-                let current = (verdict_matrix(&outcomes), counts(&outcomes));
-                match &baseline {
-                    None => {
-                        // The baseline config must exercise both verdicts
-                        // and the cache (duplicates guarantee hits when
-                        // enabled).
-                        assert!(solver.cache().hits() > 0, "round {round}: no cache reuse");
-                        baseline = Some(current);
-                    }
-                    Some(base) => {
-                        assert_eq!(
-                            base.0, current.0,
-                            "round {round} ({pass}): verdicts differ under {opts:?}"
-                        );
-                        assert_eq!(
-                            base.1, current.1,
-                            "round {round} ({pass}): counts differ under {opts:?}"
-                        );
-                    }
+        for (workers, cache) in configs {
+            let opts = SolverOptions::default().with_workers(workers).with_cache(cache);
+            let mut gen = gen.clone();
+            let solver = Solver::new(opts);
+            let outcomes = prove_all(&solver, &refs, &mut gen);
+            assert_eq!(outcomes.len(), refs.len());
+            let current = (verdict_matrix(&outcomes), counts(&outcomes));
+            match &baseline {
+                None => {
+                    // The baseline config must exercise both verdicts and
+                    // the cache (duplicates guarantee hits when enabled).
+                    assert!(solver.cache().hits() > 0, "round {round}: no cache reuse");
+                    baseline = Some(current);
+                }
+                Some(base) => {
+                    assert_eq!(base.0, current.0, "round {round}: verdicts differ under {opts:?}");
+                    assert_eq!(base.1, current.1, "round {round}: counts differ under {opts:?}");
                 }
             }
-            assert!(pool::is_warm(), "round {round}: a parallel batch initialized the pool");
         }
         let (matrix, _) = baseline.unwrap();
         let flat: Vec<&Verdict> = matrix.iter().flatten().collect();
