@@ -116,6 +116,40 @@ fn daemon_warm_goal_cache_answers_pathless_checks() {
     assert!(hits > 0, "warm goal-cache hit rate > 0, got {stats:?}");
 }
 
+/// A daemon's `infer` prints what one-shot `dmlc infer` prints, human and
+/// JSON, on its first request and on a repeat.
+#[test]
+fn daemon_infer_is_byte_identical_to_one_shot() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/bcopy_bare.dml");
+    let src = std::fs::read_to_string(&path).unwrap();
+    let infer = |id: i64, json: bool| {
+        request_line(
+            id,
+            "infer",
+            vec![("source", Json::Str(src.clone())), ("json", Json::Bool(json))],
+        )
+    };
+    let responses = drive_daemon(&[
+        infer(1, false),
+        infer(2, false),
+        infer(3, true),
+        request_line(4, "shutdown", Vec::new()),
+    ]);
+    for (i, json) in [(0, false), (1, false), (2, true)] {
+        let mut one_shot = dmlc();
+        one_shot.arg("infer").arg(&path);
+        if json {
+            one_shot.arg("--json");
+        }
+        let one_shot = one_shot.output().unwrap();
+        assert!(one_shot.status.success());
+        let result = responses[i].get("result").unwrap_or_else(|| panic!("infer {i} succeeds"));
+        let text = result.get("text").and_then(Json::as_str).expect("text is a string");
+        assert_eq!(text, String::from_utf8_lossy(&one_shot.stdout), "daemon infer {i}");
+    }
+}
+
 #[test]
 fn daemon_rejects_wrong_schema_and_survives() {
     let responses = drive_daemon(&[
