@@ -117,23 +117,6 @@ pub struct Fix {
     pub text: String,
 }
 
-/// One solver-verified inferred annotation, handed to the DML007 lint by
-/// the pipeline — which owns running inference, so linting a fully
-/// annotated (or residual-free) program costs nothing extra.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InferSuggestion {
-    /// Function the annotation refines.
-    pub fun: String,
-    /// Pretty-printed annotation type.
-    pub rendered: String,
-    /// Full fix-it text (`\nwhere f <| ...`).
-    pub fixit: String,
-    /// Byte offset where the fix-it is inserted.
-    pub insert_at: u32,
-    /// Span of the function's name identifier (the finding anchor).
-    pub name_span: Span,
-}
-
 /// One lint finding, anchored to a source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {

@@ -9,6 +9,7 @@ use std::collections::HashMap;
 
 use dml_elab::{ResidualCheck, SiteContext, SiteRole};
 use dml_index::{Prop, Sort, Var, VarGen};
+use dml_infer::AcceptedAnno;
 use dml_solver::{Solver, Verdict};
 use dml_syntax::ast::{self as sast, IExpr};
 use dml_syntax::Span;
@@ -16,7 +17,7 @@ use dml_types::convert::{Converter, FamilySig, Scope};
 use dml_types::env::CheckKind;
 
 use crate::walk::{self, GroupKind, QuantGroup};
-use crate::{lint_by_code, Finding, Fix, InferSuggestion};
+use crate::{lint_by_code, Finding, Fix};
 
 /// Runs every registered lint over a program.
 ///
@@ -34,8 +35,9 @@ use crate::{lint_by_code, Finding, Fix, InferSuggestion};
 ///   ([`dml_elab::residual_checks`]) for the DML006 lint. Pass `&[]` to
 ///   skip it (e.g. when linting without solving).
 /// * `suggestions` — solver-verified inferred annotations for the DML007
-///   lint. The *pipeline* runs inference (and only when residual checks
-///   exist); pass `&[]` to skip it.
+///   lint: the `accepted` list of a [`dml_infer::InferReport`]. The
+///   caller runs inference (`dml::Compiled::lints` runs it only when
+///   residual checks exist); pass `&[]` to skip it.
 pub fn run_lints(
     program: &sast::Program,
     contexts: &[SiteContext],
@@ -43,7 +45,7 @@ pub fn run_lints(
     solver: &Solver,
     gen: &mut VarGen,
     residuals: &[ResidualCheck],
-    suggestions: &[InferSuggestion],
+    suggestions: &[AcceptedAnno],
 ) -> Vec<Finding> {
     let facts = walk::collect(program);
     let mut findings = Vec::new();
@@ -442,7 +444,7 @@ fn residual_bound_check(residuals: &[ResidualCheck], findings: &mut Vec<Finding>
 /// already re-proved every obligation of the refined program, so — like
 /// every other semantic lint — this cannot suggest anything the solver
 /// would reject.
-fn inferable_annotation(suggestions: &[InferSuggestion], findings: &mut Vec<Finding>) {
+fn inferable_annotation(suggestions: &[AcceptedAnno], findings: &mut Vec<Finding>) {
     for s in suggestions {
         let mut f = finding(
             "DML007",

@@ -389,7 +389,7 @@ fn remote_check(_socket: &str, _path: &str, _src: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// `dmlc infer <file> [--json]` — compiles with inference enabled and
+/// `dmlc infer <file> [--json]` — runs inference on the file and
 /// prints the before/after residual-check report: accepted annotations
 /// (with fix-it text), rejected candidates (with the solver's reason), and
 /// the honestly-residual sites.
@@ -418,16 +418,12 @@ fn infer_cmd(session: &SessionSetup, args: &[String]) -> ExitCode {
     if let Some(socket) = &session.remote {
         return remote_text(socket, "infer", &src, vec![("json", Json::Bool(json))]);
     }
-    let compiled = match session.compiler.clone().infer(true).compile(&src) {
-        Ok(c) => c,
+    let report = match session.compiler.infer(&src) {
+        Ok((report, _)) => report,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-    };
-    let Some(report) = compiled.infer_report() else {
-        eprintln!("inference produced no report (internal error)");
-        return ExitCode::FAILURE;
     };
     if json {
         println!("{}", report.render_json(&src));

@@ -5,10 +5,9 @@
 //! goals dedupe across files exactly as they do across requests of a
 //! long-lived `dmlc serve` daemon. The fan-out is the solver's own
 //! work-stealing loop ([`fan_out`]) over `N` scoped threads, all compiling
-//! through one clone of the session handle (cloning *after* the session
-//! solver exists shares its verdict cache — see [`Compiler`]). While
-//! files fan out, each one solves on its own thread: only one level of
-//! parallelism runs at a time.
+//! through one clone of the session handle (clones share its verdict
+//! cache — see [`Compiler`]). While files fan out, each one solves on its
+//! own thread: only one level of parallelism runs at a time.
 //!
 //! Reporting is deterministic: results come back in input order, each
 //! file renders through the same [`check_report`] the single-file path
@@ -128,11 +127,9 @@ impl BatchOutcome {
 
 /// Checks every entry against `compiler`'s session, fanning across
 /// `jobs` worker threads (1 = sequential; the result is identical either
-/// way, only wall time changes). The session solver is initialized
-/// before any worker spawns, so all of them share one goal cache.
+/// way, only wall time changes). All of them share the handle's goal
+/// cache.
 pub fn check_batch(compiler: &Compiler, entries: &[BatchEntry], jobs: usize) -> BatchOutcome {
-    // Force the session solver into existence so the clone below shares
-    // it (cloning a virgin handle would fork the session).
     let cache = compiler.solver().cache();
     let snapshot = (cache.hits(), cache.misses());
 

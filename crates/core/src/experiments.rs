@@ -175,8 +175,8 @@ pub struct InferRow {
     pub original_residual: usize,
 }
 
-/// Strips every benchmark's annotations and recompiles with
-/// [`Compiler::infer`] on: how much of the hand-annotation burden does
+/// Strips every benchmark's annotations and runs [`Compiler::infer`] on
+/// the stripped source: how much of the hand-annotation burden does
 /// interval inference recover? (`dmlc table 1 --infer`)
 pub fn table1_infer() -> Vec<InferRow> {
     benchmarks()
@@ -185,11 +185,9 @@ pub fn table1_infer() -> Vec<InferRow> {
             let src = bench_source(&b.program);
             let stripped = dml_infer::strip_annotations(&src)
                 .unwrap_or_else(|e| panic!("{} failed to strip: {e}", b.program.name));
-            let compiled = Compiler::new()
-                .infer(true)
-                .compile(&stripped)
+            let (report, _) = Compiler::new()
+                .infer(&stripped)
                 .unwrap_or_else(|e| panic!("{} stripped compile: {e}", b.program.name));
-            let report = compiled.infer_report().expect("infer(true) records a report");
             InferRow {
                 program: b.program.name,
                 hand_annotations: b.program.annotation_count(),

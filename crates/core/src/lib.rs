@@ -50,7 +50,7 @@ pub mod table;
 pub mod trace;
 
 pub use batch::{check_batch, BatchEntry, BatchFileResult, BatchOutcome, BatchSummary};
-pub use dml_analysis::{lint_by_code, render, Finding, Fix, InferSuggestion, Lint, LINTS};
+pub use dml_analysis::{lint_by_code, render, Finding, Fix, Lint, LINTS};
 pub use dml_elab::{residual_checks, ObKind, Obligation, ResidualCheck};
 pub use dml_eval::{CheckConfig, Counters, Machine, Mode, Value};
 pub use dml_index::{UnknownReason, Verdict};

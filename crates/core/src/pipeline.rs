@@ -26,6 +26,7 @@ use dml_analysis::Finding;
 use dml_elab::{elaborate, ElabOutput, Elimination, Obligation, ResidualCheck, SiteContext};
 use dml_eval::{CheckConfig, Machine, Mode};
 use dml_index::VarGen;
+use dml_infer::InferReport;
 use dml_solver::{prove_all, Solver, SolverOptions, Verdict};
 use dml_syntax::ast as sast;
 use dml_syntax::Span;
@@ -34,7 +35,6 @@ use dml_types::env::Env;
 use dml_types::infer::infer_program;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// A hard front-end failure (parse, environment, phase-1, phase-2), or —
@@ -113,7 +113,6 @@ pub struct Compiled {
     top_level: HashMap<String, dml_types::ty::Scheme>,
     solver: Solver,
     gen: VarGen,
-    infer_report: Option<dml_infer::InferReport>,
 }
 
 impl Compiled {
@@ -146,10 +145,19 @@ impl Compiled {
     /// residual-check lint (DML006), and the inferable-annotation lint
     /// (DML007, with machine-applicable fix-its). Findings are sorted by
     /// source position.
+    ///
+    /// DML007 runs inference over this compile's own solved obligations,
+    /// and only when residual checks exist: a fully verified (or fully
+    /// annotated) program pays nothing at lint time.
     pub fn lints(&self) -> Vec<Finding> {
         let mut gen = self.gen.clone();
         let residuals = self.residual_checks();
-        let suggestions = self.infer_suggestions(&residuals);
+        let suggestions = if residuals.is_empty() {
+            Vec::new()
+        } else {
+            dml_infer::infer_refinements(&self.program, &self.env, &self.obligations, &self.solver)
+                .map_or_else(|_| Vec::new(), |out| out.report.accepted)
+        };
         dml_analysis::run_lints(
             &self.program,
             &self.contexts,
@@ -161,36 +169,9 @@ impl Compiled {
         )
     }
 
-    /// DML007 input: the accepted annotations of this compile's inference
-    /// report when inference ran, otherwise a fresh inference pass. The
-    /// fresh pass runs only when residual checks exist — a fully verified
-    /// (or fully annotated) program pays nothing at lint time.
-    fn infer_suggestions(&self, residuals: &[ResidualCheck]) -> Vec<dml_analysis::InferSuggestion> {
-        let accepted = match &self.infer_report {
-            Some(r) => r.accepted.clone(),
-            None if residuals.is_empty() => return Vec::new(),
-            None => match dml_infer::infer_refinements(&self.program, &self.solver) {
-                Ok(out) => out.report.accepted,
-                // Inference is advisory at lint time: a program it cannot
-                // handle simply gets no DML007 findings.
-                Err(_) => return Vec::new(),
-            },
-        };
-        accepted
-            .into_iter()
-            .map(|a| dml_analysis::InferSuggestion {
-                fun: a.fun,
-                rendered: a.rendered,
-                fixit: a.fixit,
-                insert_at: a.insert_at,
-                name_span: a.name_span,
-            })
-            .collect()
-    }
-
     /// The solver this program was compiled with. Its verdict cache is
-    /// shared with [`Compiled::lints`] and with any later
-    /// [`Compiler::with_solver`] compile that reuses the same solver.
+    /// shared with [`Compiled::lints`] and with every later compile on the
+    /// same [`Compiler`] or on one built [`Compiler::with_solver`] it.
     pub fn solver(&self) -> &Solver {
         &self.solver
     }
@@ -261,14 +242,6 @@ impl Compiled {
         &self.stats
     }
 
-    /// The annotation-inference report, present only when the session was
-    /// built with [`Compiler::infer`]. Records accepted (solver-verified)
-    /// annotations, rejections with reasons, and before/after residual
-    /// check counts.
-    pub fn infer_report(&self) -> Option<&dml_infer::InferReport> {
-        self.infer_report.as_ref()
-    }
-
     /// Dependent schemes of the top-level bindings.
     pub fn top_level(&self) -> &HashMap<String, dml_types::ty::Scheme> {
         &self.top_level
@@ -312,18 +285,19 @@ impl Compiled {
     }
 }
 
-/// A compilation session: solver budgets, strictness, caches, and solver
-/// sharing behind one builder. This is the crate's only compile surface.
+/// A compilation session: a solver (budgets and verdict cache) and
+/// strictness behind one builder. This is the crate's only compile
+/// surface.
 ///
-/// A `Compiler` is a **reusable handle**: its session solver (and the
-/// verdict cache inside it) is created on first [`Compiler::compile`] and
-/// shared by every later compile on the same handle, so a long-lived
-/// session — the `dmlc serve` daemon, a test harness, an IDE — pays goal
-/// solving once per distinct canonical goal, not once per request.
-/// Option setters may be called between compiles; they apply to the next
-/// compile while the session cache is kept (verdicts computed under
-/// different budgets never collide — the cache key carries the budget
-/// class).
+/// A `Compiler` is a **reusable handle**: it owns its solver from
+/// [`Compiler::new`] on, and every compile on the handle — and on every
+/// clone of it — runs through that solver's verdict cache, so a
+/// long-lived session (the `dmlc serve` daemon, a test harness, an IDE)
+/// pays goal solving once per distinct canonical goal, not once per
+/// request. Option setters may be called between compiles; they keep the
+/// cache (verdicts computed under different budgets never collide — the
+/// cache key carries the budget class) unless they change tightening:
+/// see [`Solver::with_options`].
 ///
 /// # Examples
 ///
@@ -354,16 +328,11 @@ impl Compiled {
 /// let warm = session.compile(src).expect("compiles");
 /// assert_eq!(warm.stats().solver.cache_misses, 0, "all hits");
 /// ```
-///
-/// Cloning a handle *after* its first compile shares the session solver;
-/// cloning before gives an independent session.
 #[non_exhaustive]
 #[derive(Debug, Clone, Default)]
 pub struct Compiler {
-    options: SolverOptions,
+    solver: Solver,
     strict: bool,
-    infer: bool,
-    session: OnceLock<Solver>,
 }
 
 impl Compiler {
@@ -376,17 +345,15 @@ impl Compiler {
     /// Sets the per-goal fuel budget in Fourier–Motzkin pair combinations.
     /// Goals that run out come back `Unknown(FuelExhausted)` and keep
     /// their runtime checks.
-    pub fn fuel(mut self, fuel: u64) -> Compiler {
-        self.options = self.options.with_fuel(Some(fuel));
-        self
+    pub fn fuel(self, fuel: u64) -> Compiler {
+        self.map_options(|o| o.with_fuel(Some(fuel)))
     }
 
     /// Sets the per-goal wall-clock deadline. Goals that pass it come back
     /// `Unknown(Deadline)` (never cached — wall-clock verdicts are
     /// machine-dependent).
-    pub fn deadline(mut self, deadline: Duration) -> Compiler {
-        self.options = self.options.with_deadline(Some(deadline));
-        self
+    pub fn deadline(self, deadline: Duration) -> Compiler {
+        self.map_options(|o| o.with_deadline(Some(deadline)))
     }
 
     /// Strict mode: any unproven obligation aborts compilation with
@@ -399,56 +366,41 @@ impl Compiler {
 
     /// Requests an explicit solve worker count (`1` reproduces the
     /// sequential pipeline exactly).
-    pub fn workers(mut self, workers: usize) -> Compiler {
-        self.options = self.options.with_workers(Some(workers));
-        self
+    pub fn workers(self, workers: usize) -> Compiler {
+        self.map_options(|o| o.with_workers(Some(workers)))
     }
 
     /// Enables or disables the verdict cache.
-    pub fn cache(mut self, on: bool) -> Compiler {
-        self.options = self.options.with_cache(on);
-        self
+    pub fn cache(self, on: bool) -> Compiler {
+        self.map_options(|o| o.with_cache(on))
     }
 
     /// Replaces the full solver options (budgets set earlier are
     /// overwritten; setters called later still apply).
-    pub fn solver_options(mut self, options: SolverOptions) -> Compiler {
-        self.options = options;
+    pub fn solver_options(self, options: SolverOptions) -> Compiler {
+        self.map_options(|_| options)
+    }
+
+    /// The handle's solver under new options, through
+    /// [`Solver::with_options`].
+    fn map_options(mut self, f: impl FnOnce(SolverOptions) -> SolverOptions) -> Compiler {
+        self.solver = self.solver.with_options(f(*self.solver.options()));
         self
     }
 
-    /// Adopts a caller-supplied solver as the session solver, *sharing its
-    /// verdict cache*. The solver's options become the session baseline
-    /// (budget setters called afterwards still apply — verdicts computed
-    /// under different fuel budgets never collide in the shared cache).
+    /// Adopts a caller-supplied solver, *sharing its verdict cache*. Its
+    /// options replace the handle's (budget setters called afterwards
+    /// still apply — verdicts computed under different fuel budgets never
+    /// collide in the shared cache).
     pub fn with_solver(mut self, solver: &Solver) -> Compiler {
-        self.options = *solver.options();
-        self.session = OnceLock::from(solver.clone());
+        self.solver = solver.clone();
         self
     }
 
-    /// The session solver, created on first use. Every
-    /// [`Compiler::compile`] on this handle runs through it (with the
-    /// handle's current options applied), so its verdict cache carries
-    /// across compiles.
+    /// The handle's solver. Every compile on this handle runs through it,
+    /// so its verdict cache carries across compiles.
     pub fn solver(&self) -> &Solver {
-        self.session.get_or_init(|| Solver::new(self.options))
-    }
-
-    /// The solver options this session will compile with.
-    pub fn options(&self) -> &SolverOptions {
-        &self.options
-    }
-
-    /// Enables annotation inference (`dml-infer`): before solving, an
-    /// interval abstract interpretation proposes `where`-clauses for
-    /// unannotated functions, every candidate is verified through this
-    /// session's solver, and the accepted ones are attached to the AST
-    /// (spans unchanged). The compiled program then eliminates the checks
-    /// the inferred refinements prove. Off by default.
-    pub fn infer(mut self, on: bool) -> Compiler {
-        self.infer = on;
-        self
+        &self.solver
     }
 
     /// Runs the pipeline on `src`.
@@ -476,27 +428,7 @@ impl Compiler {
         program: sast::Program,
         reuse: Option<&ReusePlan>,
     ) -> Result<Compiled, PipelineError> {
-        // The session solver is created once per handle; applying the
-        // handle's current options here keeps later setter calls honest
-        // while preserving the shared cache (unless tightening changed:
-        // see `Solver::with_options`).
-        let solver = self.solver().with_options(self.options);
-        // Inference may attach annotations to any declaration, so no
-        // previous verdict is reused under it.
-        let reuse = if self.infer { None } else { reuse };
-        let (program, infer_report) = if self.infer {
-            match dml_infer::infer_refinements(&program, &solver) {
-                Ok(out) => (out.refined, Some(out.report)),
-                // A baseline that fails phase 1 or elaboration falls
-                // through to the pipeline proper, which reports the
-                // real error with its span.
-                Err(_) => (program, None),
-            }
-        } else {
-            (program, None)
-        };
-        let mut compiled = run_pipeline_ast(program, &solver, reuse)?;
-        compiled.infer_report = infer_report;
+        let compiled = run_pipeline_ast(program, &self.solver, reuse)?;
         if self.strict && !compiled.fully_verified() {
             let obligations = &compiled.obligations;
             let unproven = compiled.elimination.unproven(obligations);
@@ -505,6 +437,28 @@ impl Compiler {
             ));
         }
         Ok(compiled)
+    }
+
+    /// Runs annotation inference (`dml-infer`) on `src`: compiles it
+    /// permissively, lets an interval abstract interpretation propose
+    /// `where`-clauses for its unannotated functions, verifies every
+    /// candidate through this handle's solver, and attaches the accepted
+    /// ones to the AST (spans unchanged). Returns the inference report
+    /// and the compile of the refined program, which eliminates the
+    /// checks the inferred refinements prove.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PipelineError`] when `src` fails to parse, type-check
+    /// or elaborate — and, in strict mode, [`PipelineError::Unproven`]
+    /// when the *refined* program leaves any obligation unproven.
+    pub fn infer(&self, src: &str) -> Result<(InferReport, Compiled), PipelineError> {
+        let program = dml_syntax::parse_program(src).map_err(PipelineError::Parse)?;
+        let base = run_pipeline_ast(program, &self.solver, None)?;
+        let out =
+            dml_infer::infer_refinements(&base.program, &base.env, &base.obligations, &self.solver)
+                .map_err(|e| PipelineError::Infer(e.message, e.span))?;
+        Ok((out.report, self.compile_program(out.refined, None)?))
     }
 }
 
@@ -649,7 +603,6 @@ fn run_pipeline_ast(
         top_level,
         solver,
         gen,
-        infer_report: None,
     })
 }
 
@@ -903,6 +856,21 @@ where first <| {n:nat | n > 0} int array(n) -> int
         let third = refueled.compile(src).unwrap();
         assert!(third.fully_verified());
         assert_eq!(cold.proven_sites(), third.proven_sites());
+    }
+
+    /// A clone made before any compile shares the handle's cache too, and
+    /// a budget setter on the clone keeps it.
+    #[test]
+    fn clones_share_the_cache_from_the_start() {
+        let src = r#"
+fun first(v) = sub(v, 0)
+where first <| {n:nat | n > 0} int array(n) -> int
+"#;
+        let handle = Compiler::new();
+        let cold = handle.clone().workers(1).compile(src).unwrap();
+        assert!(cold.stats().solver.cache_misses > 0);
+        let warm = handle.compile(src).unwrap();
+        assert_eq!(warm.stats().solver.cache_misses, 0, "the clone's verdicts are the handle's");
     }
 
     /// Tightening changes verdicts, so a handle that already compiled with

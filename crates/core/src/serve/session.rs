@@ -10,7 +10,7 @@
 //! it can just as well be embedded in-process (tests and benches do).
 
 use super::incremental::{self, FileState};
-use crate::pipeline::{Compiled, Compiler, PipelineError};
+use crate::pipeline::{Compiler, PipelineError};
 use crate::report::{report_body, CheckReport};
 use dml_obs::json::{obj, Json};
 use std::collections::HashMap;
@@ -62,11 +62,6 @@ impl Session {
             stats: SessionStats::default(),
             started: Instant::now(),
         }
-    }
-
-    /// The underlying compiler handle.
-    pub fn compiler(&self) -> &Compiler {
-        &self.compiler
     }
 
     /// Checks `src`. With a `path`, the session remembers the file's last
@@ -147,10 +142,7 @@ impl Session {
     /// The rendered compile error.
     pub fn infer(&mut self, src: &str, json: bool) -> Result<String, String> {
         *self.stats.requests.entry("infer").or_insert(0) += 1;
-        let compiled = self.compiler.clone().infer(true).compile(src).map_err(|e| e.to_string())?;
-        let report = compiled
-            .infer_report()
-            .ok_or_else(|| "inference produced no report (internal error)".to_string())?;
+        let (report, _) = self.compiler.infer(src).map_err(|e| e.to_string())?;
         Ok(if json { report.render_json(src) + "\n" } else { report.render_human(src) })
     }
 
@@ -181,17 +173,6 @@ impl Session {
     /// [`Session::stats_json`]).
     pub fn stats(&self) -> &SessionStats {
         &self.stats
-    }
-
-    /// Compiles without any session side effects — the escape hatch for
-    /// embedders needing a [`Compiled`] (machine construction, lints)
-    /// rather than a report.
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiler::compile`].
-    pub fn compile(&self, src: &str) -> Result<Compiled, PipelineError> {
-        self.compiler.compile(src)
     }
 }
 
@@ -326,6 +307,24 @@ where second <| {n:nat | n > 1} int array(n) -> int
         let daemon = s.check(Some("p.dml"), "fun broken(").unwrap_err();
         let one_shot = Compiler::new().compile("fun broken(").unwrap_err().to_string();
         assert_eq!(daemon, one_shot);
+    }
+
+    /// `infer` solves into the session's own cache: on a fresh session
+    /// the first request's goals are there for `stats` and for the next
+    /// request.
+    #[test]
+    fn infer_warms_the_session_cache() {
+        let src = include_str!("../../../../examples/asum_bare.dml");
+        let cache = |s: &Session, key: &str| {
+            s.stats_json().get("cache").and_then(|c| c.get(key)).and_then(Json::as_i64).unwrap()
+        };
+        let mut s = Session::new(Compiler::new());
+        s.infer(src, false).unwrap();
+        let misses = cache(&s, "misses");
+        assert_eq!(cache(&s, "entries"), 6, "the first infer's goals stay cached");
+        assert_eq!(misses, 6);
+        s.infer(src, false).unwrap();
+        assert_eq!(cache(&s, "misses"), misses, "a repeated infer misses nothing");
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! 3. [`verify`] applies the candidates to a clone of the AST and re-runs
 //!    the production elaborate + solve pipeline: a candidate group
 //!    survives only when the refined program still type-checks and
-//!    strictly fewer bound checks remain.
+//!    strictly fewer bound checks remain than in the compile inference
+//!    started from.
 //!
 //! The abstract domain is deliberately *untrusted*: a bug here can cost
 //! coverage (a rejected candidate), never soundness, because every
@@ -33,12 +34,14 @@ pub mod lin;
 pub mod synth;
 pub mod verify;
 
-use dml_index::VarGen;
+use dml_elab::Obligation;
+use dml_index::Verdict;
 use dml_obs::json::{obj, Json};
 use dml_solver::Solver;
 use dml_syntax::ast::{self as sast};
 use dml_syntax::Span;
-use dml_types::builtins::program_env;
+use dml_types::env::Env;
+use dml_types::InferError;
 use std::collections::BTreeMap;
 
 pub use absint::{analyze_decl, DeclAnalysis, Namer};
@@ -96,24 +99,27 @@ pub struct InferOutcome {
     pub report: InferReport,
     /// The program with accepted annotations attached (spans unchanged).
     pub refined: sast::Program,
-    /// The accepted candidates themselves.
-    pub accepted: Vec<Candidate>,
 }
 
-/// Runs the full propose–verify loop on a parsed program.
+/// Runs the full propose–verify loop on a compiled program: `env` is its
+/// environment and `solved` its obligations with their verdicts, which
+/// are the baseline every candidate group must improve on.
 ///
-/// Returns an error only when the *unrefined* program fails phase 1 or
-/// elaboration — inference needs a well-typed baseline to compare
-/// against. Solver failures on candidates are not errors; they turn into
-/// rejections.
-pub fn infer_refinements(program: &sast::Program, solver: &Solver) -> Result<InferOutcome, String> {
+/// Returns an error only when `program` fails phase 1, which a program
+/// that elaborated to `solved` does not. Solver failures on candidates
+/// are not errors; they turn into rejections.
+pub fn infer_refinements(
+    program: &sast::Program,
+    env: &Env,
+    solved: &[(Obligation, Verdict)],
+    solver: &Solver,
+) -> Result<InferOutcome, InferError> {
     // Phase-1 schemes for every function (top-level and local).
-    let env = program_env(program, &mut VarGen::new()).map_err(|e| e.message)?;
-    let phase1 = dml_types::infer_program(program, &env).map_err(|e| e.message)?;
+    let phase1 = dml_types::infer_program(program, env)?;
     let schemes: BTreeMap<Span, dml_types::MlScheme> =
         phase1.schemes.iter().map(|(s, sc)| (*s, sc.clone())).collect();
 
-    let baseline = check_program(program, solver)?;
+    let baseline = MiniCheck::from_results(solved);
     let before = baseline.residual_sites.len();
 
     // Propose per top-level declaration.
@@ -134,10 +140,9 @@ pub fn infer_refinements(program: &sast::Program, solver: &Solver) -> Result<Inf
 
     // Verify greedily, one declaration group at a time.
     let mut working = program.clone();
-    let mut working_residuals = baseline.residual_sites.clone();
-    let mut working_detail = baseline.residual_detail.clone();
-    let mut accepted: Vec<Candidate> = Vec::new();
-    let mut accepted_report = Vec::new();
+    let mut working_residuals = baseline.residual_sites;
+    let mut working_detail = baseline.residual_detail;
+    let mut accepted = Vec::new();
     let mut rejected = Vec::new();
     let mut nonconverged = Vec::new();
     for group in groups {
@@ -220,16 +225,13 @@ pub fn infer_refinements(program: &sast::Program, solver: &Solver) -> Result<Inf
             apply_candidates(&mut working, &live);
             working_residuals = check.residual_sites;
             working_detail = check.residual_detail;
-            for c in &live {
-                accepted_report.push(AcceptedAnno {
-                    fun: c.fun_name.clone(),
-                    rendered: c.rendered.clone(),
-                    fixit: c.fixit_text(),
-                    insert_at: c.insert_at,
-                    name_span: c.name_span,
-                });
-            }
-            accepted.extend(live);
+            accepted.extend(live.iter().map(|c| AcceptedAnno {
+                fun: c.fun_name.clone(),
+                rendered: c.rendered.clone(),
+                fixit: c.fixit_text(),
+                insert_at: c.insert_at,
+                name_span: c.name_span,
+            }));
         }
         rejected.extend(dropped);
     }
@@ -244,12 +246,12 @@ pub fn infer_refinements(program: &sast::Program, solver: &Solver) -> Result<Inf
     let report = InferReport {
         before,
         after: working_residuals.len(),
-        accepted: accepted_report,
+        accepted,
         rejected,
         residual_sites,
         nonconverged,
     };
-    Ok(InferOutcome { report, refined: working, accepted })
+    Ok(InferOutcome { report, refined: working })
 }
 
 impl InferReport {
@@ -350,8 +352,12 @@ impl InferReport {
 mod tests {
     use super::*;
 
-    fn solver() -> Solver {
-        Solver::new(dml_solver::SolverOptions::default())
+    /// Compiles `src` and runs inference over the solved result.
+    fn infer(src: &str) -> InferReport {
+        let program = dml_syntax::parse_program(src).unwrap();
+        let solver = Solver::new(dml_solver::SolverOptions::default());
+        let (env, solved) = verify::solve(&program, &solver).unwrap();
+        infer_refinements(&program, &env, &solved, &solver).unwrap().report
     }
 
     const ASUM_BARE: &str = r#"
@@ -367,16 +373,15 @@ fun asum v =
 
     #[test]
     fn infers_loop_invariant_for_asum() {
-        let program = dml_syntax::parse_program(ASUM_BARE).unwrap();
-        let out = infer_refinements(&program, &solver()).unwrap();
-        assert!(out.report.before > 0, "bare asum must start with residuals");
+        let report = infer(ASUM_BARE);
+        assert!(report.before > 0, "bare asum must start with residuals");
         assert_eq!(
-            out.report.after,
+            report.after,
             0,
             "asum should reach zero residuals; report:\n{}",
-            out.report.render_human(ASUM_BARE)
+            report.render_human(ASUM_BARE)
         );
-        assert!(out.report.accepted.iter().any(|a| a.fun == "loop"));
+        assert!(report.accepted.iter().any(|a| a.fun == "loop"));
     }
 
     #[test]
@@ -389,9 +394,7 @@ fun asum v =
 
     #[test]
     fn report_json_is_wellformed() {
-        let program = dml_syntax::parse_program(ASUM_BARE).unwrap();
-        let out = infer_refinements(&program, &solver()).unwrap();
-        let json = out.report.render_json(ASUM_BARE);
+        let json = infer(ASUM_BARE).render_json(ASUM_BARE);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"accepted\""));
     }

@@ -26,6 +26,7 @@ use dml_solver::{prove_all, Solver, Verdict};
 use dml_syntax::ast::{self as sast};
 use dml_syntax::Span;
 use dml_types::builtins::program_env;
+use dml_types::env::Env;
 use dml_types::infer_program;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,6 +50,16 @@ pub struct MiniCheck {
 /// result through the compiler's own check-elimination decision
 /// ([`MiniCheck::from_results`]).
 pub fn check_program(program: &sast::Program, solver: &Solver) -> Result<MiniCheck, String> {
+    let (_, results) = solve(program, solver)?;
+    Ok(MiniCheck::from_results(&results))
+}
+
+/// Runs phase 1 + elaboration + solving on `program`: its environment
+/// and its obligations with their verdicts.
+pub(crate) fn solve(
+    program: &sast::Program,
+    solver: &Solver,
+) -> Result<(Env, Vec<(Obligation, Verdict)>), String> {
     let mut gen = VarGen::new();
     let env = program_env(program, &mut gen).map_err(|e| e.message)?;
     let phase1 = infer_program(program, &env).map_err(|e| e.message)?;
@@ -58,9 +69,8 @@ pub fn check_program(program: &sast::Program, solver: &Solver) -> Result<MiniChe
         let constraints: Vec<_> = out.obligations.iter().map(|ob| &ob.constraint).collect();
         prove_all(solver, &constraints, &mut gen)
     };
-    let results: Vec<(Obligation, Verdict)> =
-        out.obligations.into_iter().zip(outcomes.iter().map(|o| o.verdict())).collect();
-    Ok(MiniCheck::from_results(&results))
+    let results = out.obligations.into_iter().zip(outcomes.iter().map(|o| o.verdict())).collect();
+    Ok((env, results))
 }
 
 impl MiniCheck {

@@ -764,14 +764,14 @@ fn check_infer(report: &mut FuzzReport, cfg: &FuzzConfig, digest: &mut Fnv) {
                 continue;
             }
         };
-        let compiled = match dml::Compiler::new().workers(1).infer(true).compile(&stripped) {
-            Ok(c) => c,
+        let (inferred, compiled) = match dml::Compiler::new().workers(1).infer(&stripped) {
+            Ok(pair) => pair,
             Err(e) => {
                 infer_fail(report, cfg, p.name, format!("stripped compile failed: {e}"));
                 continue;
             }
         };
-        report.infer_accepted += compiled.infer_report().map_or(0, |r| r.accepted.len() as u64);
+        report.infer_accepted += inferred.accepted.len() as u64;
         // Re-prove each obligation of the refined program to recover its
         // individual goals, then hand every proven one to the oracle. The
         // id range starts far above anything elaboration generated, so

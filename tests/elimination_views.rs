@@ -61,12 +61,10 @@ fn views_digest(name: &str, src: &str) -> u64 {
 
 /// FNV-1a over `dmlc infer --json`'s report for `src`.
 fn infer_digest(name: &str, src: &str) -> u64 {
-    let compiled = Compiler::new()
+    let (report, _) = Compiler::new()
         .workers(1)
-        .infer(true)
-        .compile(src)
+        .infer(src)
         .unwrap_or_else(|e| panic!("{name} must compile under inference: {e}"));
-    let report = compiled.infer_report().expect("inference ran");
     let mut hash = 0xcbf2_9ce4_8422_2325;
     fnv(&mut hash, &report.render_json(src));
     hash

@@ -1,11 +1,12 @@
-//! Conservativity of `Compiler::infer`: turning inference on may only
-//! *add* proofs, never lose or fabricate them.
+//! Conservativity of `Compiler::infer`: the compile of the refined
+//! program it returns may only *add* proofs to the plain compile of the
+//! same source, never lose or fabricate them.
 //!
 //! Spans survive annotation patching (candidates are applied to the parsed
 //! AST, never to re-parsed source), so check sites are comparable across
 //! the baseline and inferred compiles of the same source:
 //!
-//! * every site the baseline proves stays proven with inference on;
+//! * every site the baseline proves stays proven in the inferred compile;
 //! * every site the baseline *refutes* (a definitely-unsafe access) stays
 //!   residual — an inferred annotation must never talk the solver into
 //!   eliminating a falsifiable check;
@@ -28,7 +29,9 @@ const BARE_EXAMPLES: [&str; 5] = [
 ];
 
 fn compile(src: &str, infer: bool, workers: usize, cache: bool) -> Compiled {
-    dml::Compiler::new().infer(infer).workers(workers).cache(cache).compile(src).expect("compiles")
+    let compiler = dml::Compiler::new().workers(workers).cache(cache);
+    if infer { compiler.infer(src).map(|(_, c)| c) } else { compiler.compile(src) }
+        .expect("compiles")
 }
 
 fn residual_sites(c: &Compiled) -> BTreeSet<Span> {

@@ -1,6 +1,6 @@
 //! Golden results for `dmlc infer` over the annotation-stripped corpus.
 //!
-//! Each `examples/*_bare.dml` twin is compiled with inference enabled and
+//! Each `examples/*_bare.dml` twin goes through `Compiler::infer` and
 //! must land exactly on its documented before/after residual counts —
 //! the linear-index programs reach zero, the ones needing caller
 //! preconditions (`dotprod`, `bcopy`) keep exactly the honest remainder.
@@ -8,22 +8,19 @@
 //! solver configurations (workers × cache), which is what makes DML007
 //! fix-its reproducible in CI.
 
-use dml::Compiler;
+use dml::{Compiler, InferReport};
 use std::fs;
 
-fn infer_file(path: &str) -> (String, dml::Compiled) {
+fn infer_file(path: &str) -> (String, InferReport, dml::Compiled) {
     let src = fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let compiled = Compiler::new()
-        .infer(true)
-        .compile(&src)
-        .unwrap_or_else(|e| panic!("{path} failed to compile: {e}"));
-    (src, compiled)
+    let (report, compiled) =
+        Compiler::new().infer(&src).unwrap_or_else(|e| panic!("{path} failed to compile: {e}"));
+    (src, report, compiled)
 }
 
 #[track_caller]
 fn check_counts(path: &str, before: usize, after: usize, accepted_funs: &[&str]) {
-    let (src, compiled) = infer_file(path);
-    let report = compiled.infer_report().expect("inference was enabled");
+    let (src, report, compiled) = infer_file(path);
     assert_eq!(
         (report.before, report.after),
         (before, after),
@@ -66,8 +63,7 @@ fn residual_dml_fully_annotated_infers_nothing() {
     // Every function already carries an annotation, so inference has no
     // candidates — and in particular must not disturb the showcase file's
     // lint golden sequence.
-    let (_, compiled) = infer_file("examples/residual.dml");
-    let report = compiled.infer_report().unwrap();
+    let (_, report, _) = infer_file("examples/residual.dml");
     assert!(report.accepted.is_empty(), "{:?}", report.accepted);
     assert_eq!(report.before, report.after);
 }
@@ -78,9 +74,7 @@ fn fixits_are_byte_identical_across_configs() {
     let mut renderings = Vec::new();
     for workers in [1usize, 4] {
         for cache in [true, false] {
-            let compiled =
-                Compiler::new().infer(true).workers(workers).cache(cache).compile(&src).unwrap();
-            let report = compiled.infer_report().unwrap();
+            let (report, _) = Compiler::new().workers(workers).cache(cache).infer(&src).unwrap();
             let fixits: Vec<String> =
                 report.accepted.iter().map(|a| format!("{}@{}", a.fixit, a.insert_at)).collect();
             renderings.push((workers, cache, fixits));
@@ -97,8 +91,7 @@ fn inferred_annotations_reparse() {
     // The fix-it text must be valid concrete syntax: applying it to the
     // source and re-parsing yields a program whose annotation count grew.
     for path in ["examples/asum_bare.dml", "examples/bsearch_bare.dml"] {
-        let (src, compiled) = infer_file(path);
-        let report = compiled.infer_report().unwrap();
+        let (src, report, _) = infer_file(path);
         let mut patched = src.clone();
         let mut edits: Vec<_> = report.accepted.iter().collect();
         edits.sort_by_key(|a| std::cmp::Reverse(a.insert_at));
@@ -125,11 +118,9 @@ fn strip_then_infer_roundtrips_seed_benchmarks() {
     for p in dml_programs::all_programs() {
         let stripped = dml::strip_annotations(p.source).unwrap();
         assert!(!stripped.contains("where"), "{}: strip left a where-clause", p.name);
-        let compiled = Compiler::new()
-            .infer(true)
-            .compile(&stripped)
+        let (report, _) = Compiler::new()
+            .infer(&stripped)
             .unwrap_or_else(|e| panic!("{}: stripped source failed: {e}", p.name));
-        let report = compiled.infer_report().unwrap();
         assert!(
             report.after <= report.before,
             "{}: inference regressed {} -> {}",

@@ -13,7 +13,7 @@ use dml::{Compiler, PipelineError};
 ///
 /// The `*_bare.dml` twins are compiled *without* inference here — these
 /// are their plain baselines; `tests/infer_golden.rs` pins what
-/// `Compiler::infer(true)` recovers from each.
+/// `Compiler::infer` recovers from each.
 const SNAPSHOTS: &[(&str, usize, usize, usize, usize, bool)] = &[
     ("lints.dml", 6, 0, 2, 1, false),
     ("residual.dml", 6, 0, 1, 1, false),
