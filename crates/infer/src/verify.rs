@@ -76,8 +76,9 @@ pub(crate) fn solve(
 impl MiniCheck {
     /// Reads a solved obligation list through [`dml_elab::eliminate`]: the
     /// residual sites are exactly the sites the compiler keeps checked.
-    /// Each is described by its last unproven guard, or as blocked when a
-    /// type obligation failed.
+    /// Each is described by its first unproven guard, as `dmlc check`'s
+    /// residual lines and DML006 describe it, or as blocked when a type
+    /// obligation failed.
     pub fn from_results(results: &[(Obligation, Verdict)]) -> MiniCheck {
         let e = dml_elab::eliminate(results);
         let non_check_ok = e.blocking().is_empty();
@@ -88,7 +89,6 @@ impl MiniCheck {
                 let (ob, verdict) = site
                     .goals
                     .iter()
-                    .rev()
                     .map(|&g| &results[g - 1])
                     .find(|(_, v)| !v.is_proven())
                     .expect("a site kept checked without a blocker has an unproven guard");
@@ -202,4 +202,41 @@ pub fn strip_annotations(src: &str) -> Result<String, String> {
         out.replace_range(start..s.end as usize, "");
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dml_index::{Constraint, Prop, UnknownReason};
+    use dml_types::env::CheckKind;
+
+    fn bound(site: Span) -> Obligation {
+        Obligation {
+            kind: dml_elab::ObKind::Bound { prim: "sub".into(), check: CheckKind::ArrayBound },
+            site,
+            constraint: Constraint::Prop(Prop::True),
+            in_fun: "f".into(),
+        }
+    }
+
+    /// A site whose two guards fail for different reasons is described by
+    /// the first, as `dmlc check`'s residual line and DML006 describe it.
+    #[test]
+    fn a_residual_site_is_named_by_its_first_unproven_guard() {
+        let site = Span::new(4, 13);
+        let results = [
+            (bound(site), Verdict::Proven),
+            (bound(site), Verdict::Unknown(UnknownReason::Nonlinear("i * j".into()))),
+            (bound(site), Verdict::Refuted),
+        ];
+        let check = MiniCheck::from_results(&results);
+        assert!(check.non_check_ok);
+        assert_eq!(check.residual_sites, BTreeSet::from([site]));
+        assert_eq!(
+            check.residual_detail[&site],
+            "array bound check for `sub`: unknown (non-linear constraint: i * j)"
+        );
+        let residual = dml_elab::residual_checks(&results);
+        assert_eq!(residual[0].reason, UnknownReason::Nonlinear("i * j".into()));
+    }
 }

@@ -151,7 +151,8 @@ fn verdict_desc(v: &Verdict) -> String {
     }
 }
 
-/// `dml_infer::verify::check_program`'s site map, after solving.
+/// `dml_infer::verify::check_program`'s site map, after solving: each
+/// residual site is described by its first unproven guard.
 fn ref_mini_check(results: &Results) -> MiniCheck {
     let mut non_check_ok = true;
     let mut failing_funs = BTreeSet::new();
@@ -161,7 +162,7 @@ fn ref_mini_check(results: &Results) -> MiniCheck {
         if ob.kind.is_check() {
             all_check_sites.insert(ob.site);
             let e = site_ok.entry(ob.site).or_insert_with(|| (true, String::new()));
-            if !verdict.is_proven() {
+            if e.0 && !verdict.is_proven() {
                 e.0 = false;
                 e.1 = format!("{}: {}", ob.kind, verdict_desc(verdict));
             }
