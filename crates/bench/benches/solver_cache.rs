@@ -3,7 +3,8 @@
 //! report.
 //!
 //! Flags (after `--`):
-//! * `--smoke` — one round per measurement (CI smoke mode);
+//! * `--smoke` — one round per measurement, except three for the ablation
+//!   so that the gate below decides by majority (CI smoke mode);
 //! * `--json`  — additionally write `BENCH_solver.json` at the repo root;
 //! * `--assert-ablation` — exit nonzero if the `workers=auto, cache=true`
 //!   ablation row regresses against `workers=1, cache=true` (the CI guard
@@ -108,9 +109,12 @@ fn main() {
     let configs: [(Option<usize>, &str, bool); 4] =
         [(Some(1), "1", true), (Some(1), "1", false), (None, "auto", true), (None, "auto", false)];
     // Each round's (workers=auto, workers=1) pair with the cache on;
-    // `sample` runs the warm-up rounds first.
+    // `sample` runs the warm-up rounds first. A smoke run still times
+    // three rounds here: one round alone would let host noise decide the
+    // gate below.
+    let ablation_n = if args.smoke { 3 } else { n };
     let mut pairs: Vec<(Duration, Duration)> = Vec::new();
-    let ablation = sample(warmup, n, || {
+    let ablation = sample(warmup, ablation_n, || {
         let round = configs.map(|(workers, _, cache)| {
             let opts = SolverOptions::default().with_workers(workers).with_cache(cache);
             let stats = compile_all(&|_| Compiler::new().solver_options(opts));
