@@ -156,7 +156,8 @@ impl Compiled {
             Vec::new()
         } else {
             dml_infer::infer_refinements(&self.program, &self.env, &self.obligations, &self.solver)
-                .map_or_else(|_| Vec::new(), |out| out.report.accepted)
+                .map(|out| out.report.accepted)
+                .unwrap_or_default()
         };
         dml_analysis::run_lints(
             &self.program,
@@ -170,8 +171,9 @@ impl Compiled {
     }
 
     /// The solver this program was compiled with. Its verdict cache is
-    /// shared with [`Compiled::lints`] and with every later compile on the
-    /// same [`Compiler`] or on one built [`Compiler::with_solver`] it.
+    /// the compiling handle's, shared with [`Compiled::lints`], with every
+    /// later compile on that [`Compiler`] or its clones, and with any
+    /// handle given this solver through [`Compiler::with_solver`].
     pub fn solver(&self) -> &Solver {
         &self.solver
     }
