@@ -225,13 +225,15 @@ pub fn infer_refinements(
             apply_candidates(&mut working, &live);
             working_residuals = check.residual_sites;
             working_detail = check.residual_detail;
-            accepted.extend(live.iter().map(|c| AcceptedAnno {
-                fun: c.fun_name.clone(),
-                rendered: c.rendered.clone(),
-                fixit: c.fixit_text(),
-                insert_at: c.insert_at,
-                name_span: c.name_span,
-            }));
+            for c in &live {
+                accepted.push(AcceptedAnno {
+                    fun: c.fun_name.clone(),
+                    rendered: c.rendered.clone(),
+                    fixit: c.fixit_text(),
+                    insert_at: c.insert_at,
+                    name_span: c.name_span,
+                });
+            }
         }
         rejected.extend(dropped);
     }
